@@ -3,9 +3,10 @@
 Config files are flat key-value INI files (section headers in brackets).
 ``negdimcd run`` executes a named check suite and writes a human-readable
 summary plus a machine-readable CSV record file (fixed column order:
-check_id, params, worst_margin, pass).  ``negdimcd certify`` bisects the
-largest passing K per N on a lattice, and ``negdimcd merge`` combines record
-files.  Identical config + seed yields byte-identical record files.
+check_id, params, worst_margin, pass).  ``negdimcd certify`` reports, per
+N, the largest K whose pointwise criterion holds on the grid: the grid
+minimum of the Bakry-Emery term f'' - f'^2/N.  ``negdimcd merge`` combines
+record files.  Identical config + seed yields byte-identical record files.
 
 Randomized checks draw from numpy Generators seeded by the splittable scheme
 SeedSequence([seed, crc32(label)]): one 64-bit run seed, one stable label per
@@ -30,6 +31,7 @@ import numpy as np
 from . import convexity, geometry, gradflow, transport
 from .expr import compile_expr
 from .functions import ScalarFunction1D
+from .quadrature import QuadratureError
 from .report import CheckReport
 
 __all__ = ["main"]
@@ -55,10 +57,8 @@ class Record:
     passed: bool
 
     def row(self) -> list[str]:
-        value = float(self.worst_margin)
-        margin = "inf" if math.isinf(value) else (
-            "nan" if math.isnan(value) else repr(value))
-        return [self.check_id, self.params, margin, "true" if self.passed else "false"]
+        return [self.check_id, self.params, repr(float(self.worst_margin)),
+                "true" if self.passed else "false"]
 
 
 def _record(suite: str, report: CheckReport, **params) -> Record:
@@ -168,7 +168,7 @@ def _density_from(cfg, section: str) -> transport.Density1D:
         expr = _get(cfg, section, "expr", required=True)
         lo, hi = _floats(_get(cfg, section, "support", required=True))
         fun = compile_expr(expr)
-        return transport.Density1D(support=(lo, hi), pdf=fun.fn, normalize=True,
+        return transport.Density1D(support=(lo, hi), pdf=fun, normalize=True,
                                    name=expr)
     raise ConfigError(f"[{section}] kind={kind!r} not one of gaussian|uniform|expr")
 
@@ -178,13 +178,22 @@ def _density_from(cfg, section: str) -> transport.Density1D:
 
 
 def _admissible_pairs(rng, window, limit, count):
+    """Segments of length in (1e-6 * window, min(limit, window))."""
     lo, hi = window
-    pairs = []
-    while len(pairs) < count:
-        x0, x1 = sorted(rng.uniform(lo, hi, size=2))
-        if x1 - x0 > 1e-6 * (hi - lo) and x1 - x0 < limit:
-            pairs.append((float(x0), float(x1)))
-    return pairs
+    shortest, longest = 1e-6 * (hi - lo), min(limit, hi - lo)
+    if not shortest < longest:
+        raise ConfigError(f"no segment length lies between 1e-6 of the window "
+                          f"{window} and pi*sqrt(N/K)={limit!r}")
+    lengths = rng.uniform(shortest, longest, size=count)
+    starts = rng.uniform(lo, hi - lengths)
+    return [(float(x0), float(x0 + d)) for x0, d in zip(starts, lengths)]
+
+
+def _fold(name: str, reports: Sequence[CheckReport]) -> CheckReport:
+    """One report over the worst margin of each of several reports."""
+    return CheckReport.from_margins(name, [r.worst_margin for r in reports],
+                                    [r.worst_location for r in reports],
+                                    reports[0].tolerance)
 
 
 def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
@@ -193,28 +202,21 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
     f, window = _function_from(cfg, "function", K, N)
     p = convexity.ConvexityParams(K, N, window)
     n_pairs = int(_get(cfg, "params", "pairs", "40"))
+    if n_pairs < 1:
+        raise ConfigError(f"[params] pairs must be at least 1, got {n_pairs}")
     grid_n = int(_get(cfg, "params", "grid", "200"))
     t_grid = _floats(_get(cfg, "params", "t_grid", "0.25 0.5 0.75"))
     rng = _rng(seed, "convexity-pairs")
     pairs = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
     grid = convexity.interior_grid(window, grid_n)
-    records = [_record("convexity", convexity.check_pointwise(f, p, grid, tol),
-                       K=K, N=N, grid=grid_n)]
-    geo_worst = math.inf
-    der_worst = math.inf
-    geo_pass = der_pass = True
-    for x0, x1 in pairs:
-        rep = convexity.check_geodesic(f, p, x0, x1, t_grid, tol)
-        geo_worst = min(geo_worst, rep.worst_margin)
-        geo_pass = geo_pass and rep.passed
-        rep = convexity.check_derivative(f, p, x0, x1, tol)
-        der_worst = min(der_worst, rep.worst_margin)
-        der_pass = der_pass and rep.passed
-    records.append(Record("convexity/geodesic", f"K={K};N={N};pairs={n_pairs}",
-                          geo_worst, geo_pass))
-    records.append(Record("convexity/derivative", f"K={K};N={N};pairs={n_pairs}",
-                          der_worst, der_pass))
-    return records
+    geo = _fold("geodesic", [convexity.check_geodesic(f, p, x0, x1, t_grid, tol)
+                             for x0, x1 in pairs])
+    der = _fold("derivative", [convexity.check_derivative(f, p, x0, x1, tol)
+                               for x0, x1 in pairs])
+    return [_record("convexity", convexity.check_pointwise(f, p, grid, tol),
+                    K=K, N=N, grid=grid_n),
+            _record("convexity", geo, K=K, N=N, pairs=n_pairs),
+            _record("convexity", der, K=K, N=N, pairs=n_pairs)]
 
 
 def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
@@ -448,8 +450,6 @@ def cmd_certify(args) -> int:
         _negative_n(tok, "[certify] N")
         for tok in _get(cfg, "certify", "N", required=True).split()
     ]
-    k_lo = float(_get(cfg, "certify", "K_lo", "-32.0"))
-    k_hi = float(_get(cfg, "certify", "K_hi", "32.0"))
     grid_n = int(_get(cfg, "certify", "grid", "400"))
     tol = args.tol if args.tol is not None else float(_get(cfg, "certify", "tol", "1e-9"))
     out_dir = _resolve_out_dir(args.out_dir, cfg)
@@ -458,26 +458,17 @@ def cmd_certify(args) -> int:
         f, window = _function_from(cfg, "function",
                                    float(_get(cfg, "certify", "K_hint", "0.0")), N)
         grid = convexity.interior_grid(window, grid_n)
-
-        # margin(K) = min_x [fN''(x) + (K/N) fN(x)] is strictly decreasing in K
-        # (N < 0, fN > 0), so bisection applies.
-        def margin_at(K):
-            params = convexity.ConvexityParams(K, N, window)
-            return convexity.check_pointwise(f, params, grid, tol).worst_margin
-
-        lo, hi = k_lo, k_hi
-        if margin_at(lo) < -tol:
-            records.append(Record("certify/pointwise", f"N={N};window={window}",
-                                  margin_at(lo), False))
-            continue
-        while hi - lo > 1e-6:
-            mid = 0.5 * (lo + hi)
-            if margin_at(mid) >= -tol:
-                lo = mid
-            else:
-                hi = mid
-        records.append(Record("certify/pointwise", f"N={N};K={lo!r}", margin_at(lo), True))
-        print(f"N={N}: largest passing K = {lo!r}")
+        # f_N'' + (K/N) f_N = (f_N/|N|) (f'' - f'^2/N - K) with f_N > 0, so the
+        # largest K that passes on the grid is the grid minimum of the
+        # Bakry-Emery term (points where it is undefined fail at any K)
+        be = convexity.bakry_emery(f, N, grid)
+        K = float(np.min(be, where=np.isfinite(be), initial=math.inf))
+        rep = convexity.check_pointwise(f, convexity.ConvexityParams(K, N, window),
+                                        grid, tol)
+        records.append(Record("certify/pointwise", f"N={N};K={K!r}",
+                              rep.worst_margin, rep.passed))
+        if rep.passed:
+            print(f"N={N}: largest passing K = {K!r}")
     rec_path = _write_records(records, out_dir)
     print(f"records: {rec_path}")
     return 0 if all(r.passed for r in records) else 1
@@ -525,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_run.add_argument("config")
     p_run.set_defaults(fn=cmd_run)
     p_cert = sub.add_parser("certify", parents=[common],
-                            help="bisect the largest passing K per N")
+                            help="largest K passing the pointwise criterion, per N")
     p_cert.add_argument("config")
     p_cert.set_defaults(fn=cmd_certify)
     p_merge = sub.add_parser("merge", parents=[common],
@@ -535,7 +526,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

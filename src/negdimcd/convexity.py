@@ -24,6 +24,7 @@ from .report import CheckReport
 
 __all__ = [
     "ConvexityParams",
+    "bakry_emery",
     "check_pointwise",
     "check_geodesic",
     "check_derivative",
@@ -79,44 +80,55 @@ def _default_tol(f: ScalarFunction1D, tol):
     return TOL_ANALYTIC if f.has_analytic_derivs else TOL_FD
 
 
+def bakry_emery(f: ScalarFunction1D, N: float, x) -> np.ndarray:
+    """The Bakry-Emery term f'' - f'^2/N at the points x.
+
+    For N < 0 the Hessian criterion reads f_N'' + (K/N) f_N =
+    (f_N/|N|) (bakry_emery - K), and the weighted Ricci curvature of a line
+    with weight exp(-psi) is bakry_emery(psi, N - 1, x).
+    """
+    x = np.asarray(x, dtype=float)
+    d1 = f.deriv(x)
+    return f.deriv2(x) - d1 * d1 / N
+
+
 def check_pointwise(f: ScalarFunction1D, p: ConvexityParams,
                     grid: Sequence[float], tol: float | None = None) -> CheckReport:
     """Hessian criterion: f_N''(x) + (K/N) f_N(x) >= 0 on the grid."""
     tol = _default_tol(f, tol)
-    fN = exp_transform(f, p.N)
-    margins, locations = [], []
+    x = np.asarray(grid, dtype=float)
+    scale = np.exp(-f(x) / p.N) / -p.N
+    be = bakry_emery(f, p.N, x)
+    undefined = ~np.isfinite(scale * be)
+    margins = np.where(undefined, -math.inf, scale * (be - p.K))
     note = ""
-    for x in np.asarray(grid, dtype=float):
-        d2 = fN.deriv2(x)
-        if not np.isfinite(d2):
-            margins.append(-math.inf)
-            locations.append(float(x))
-            note = f"second derivative undefined at x={float(x)!r}"
-            continue
-        margins.append(float(d2 + (p.K / p.N) * fN(x)))
-        locations.append(float(x))
-    return CheckReport.from_margins("pointwise", margins, locations, tol, note=note)
+    if undefined.any():
+        bad = float(x[np.flatnonzero(undefined)[-1]])
+        note = f"second derivative undefined at x={bad!r}"
+    return CheckReport.from_margins("pointwise", margins, x, tol, note=note)
 
 
 def geodesic_margin(f: ScalarFunction1D, K: float, N: float,
-                    x0: float, x1: float, t: float) -> float:
+                    x0: float, x1: float, t):
     """Signed margin of the distortion inequality along the segment x0 -> x1.
 
     Oriented so that >= 0 means the (K, N) inequality holds at parameter t;
     for N > 0 the inequality reverses and the sign convention follows it.
-    May return +inf when an out-of-domain coefficient makes the claim trivial.
+    Is +inf where an out-of-domain coefficient makes the claim trivial.
+    ``t`` may be an array of parameters.
     """
     if N == 0:
         raise ValueError("N must be nonzero")
     d = abs(x1 - x0)
     fN = exp_transform(f, N)
+    t = np.asarray(t, dtype=float)
     w0 = sigma(K / N, 1.0 - t, d)
     w1 = sigma(K / N, t, d)
-    if math.isinf(w0) or math.isinf(w1):
-        return math.inf
     combo = w0 * float(fN(x0)) + w1 * float(fN(x1))
-    mid = float(fN((1.0 - t) * x0 + t * x1))
-    return combo - mid if N < 0 else mid - combo
+    mid = fN((1.0 - t) * x0 + t * x1)
+    margin = np.where(np.isinf(w0) | np.isinf(w1), math.inf,
+                      combo - mid if N < 0 else mid - combo)
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def check_geodesic(f: ScalarFunction1D, p: ConvexityParams, x0: float, x1: float,
@@ -128,10 +140,9 @@ def check_geodesic(f: ScalarFunction1D, p: ConvexityParams, x0: float, x1: float
         raise ValueError(
             f"segment length {d!r} reaches pi*sqrt(N/K)={p.radius_limit()!r}; "
             "the K<0 inequality controls shorter segments only")
-    margins, locations = [], []
-    for t in t_grid:
-        margins.append(geodesic_margin(f, p.K, p.N, x0, x1, float(t)))
-        locations.append((x0, x1, float(t)))
+    t = np.asarray(t_grid, dtype=float)
+    margins = geodesic_margin(f, p.K, p.N, x0, x1, t)
+    locations = np.column_stack([np.full_like(t, x0), np.full_like(t, x1), t])
     return CheckReport.from_margins("geodesic", margins, locations, tol)
 
 

@@ -72,9 +72,6 @@ def compile_expr(text: str, var: str = "x", fd_step: float = 1e-5) -> ScalarFunc
     def fn(value):
         scope = dict(env)
         scope[var] = np.asarray(value, dtype=float) if np.ndim(value) else float(value)
-        out = eval(code, scope)  # noqa: S307 - AST is whitelisted above
-        if np.ndim(value) and np.ndim(out) == 0:
-            out = np.full(np.shape(value), float(out))
-        return out
+        return eval(code, scope)  # noqa: S307 - AST is whitelisted above
 
     return ScalarFunction1D(fn=fn, fd_step=fd_step, name=text)

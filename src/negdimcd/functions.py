@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 __all__ = ["ScalarFunction1D", "exp_transform"]
+
+
+def _shaped(out, x):
+    # an array argument gets an array of its shape back: sympy-lambdified and
+    # constant callables return one scalar for any argument.  Callers test
+    # type(x) first, so scalar calls (the RK4 steps) pay one type check only.
+    if np.shape(out) != x.shape:
+        return np.full(x.shape, out, dtype=float)
+    return out
 
 
 @dataclass(frozen=True)
@@ -16,7 +25,8 @@ class ScalarFunction1D:
 
     ``d1``/``d2`` are analytic derivative evaluators when available; missing
     ones fall back to central differences with step ``fd_step``.  Callables
-    should accept floats or numpy arrays elementwise.
+    should accept floats or numpy arrays elementwise; a numpy array argument
+    always gets an array of its shape back.
     """
 
     fn: Callable
@@ -26,27 +36,28 @@ class ScalarFunction1D:
     name: str = ""
 
     def __call__(self, x):
-        return self.fn(x)
+        out = self.fn(x)
+        return out if type(x) is not np.ndarray else _shaped(out, x)
 
-    def value(self, x):
-        return self.fn(x)
+    value = __call__
 
     def deriv(self, x):
         if self.d1 is not None:
-            return self.d1(x)
-        h = self.fd_step
-        return (self.fn(x + h) - self.fn(x - h)) / (2.0 * h)
+            out = self.d1(x)
+        else:
+            h = self.fd_step
+            out = (self.fn(x + h) - self.fn(x - h)) / (2.0 * h)
+        return out if type(x) is not np.ndarray else _shaped(out, x)
 
     def deriv2(self, x):
         h = self.fd_step
         if self.d2 is not None:
-            return self.d2(x)
-        if self.d1 is not None:
-            return (self.d1(x + h) - self.d1(x - h)) / (2.0 * h)
-        return (self.fn(x + h) - 2.0 * self.fn(x) + self.fn(x - h)) / (h * h)
-
-    def with_fd_step(self, fd_step: float) -> "ScalarFunction1D":
-        return replace(self, fd_step=fd_step)
+            out = self.d2(x)
+        elif self.d1 is not None:
+            out = (self.d1(x + h) - self.d1(x - h)) / (2.0 * h)
+        else:
+            out = (self.fn(x + h) - 2.0 * self.fn(x) + self.fn(x - h)) / (h * h)
+        return out if type(x) is not np.ndarray else _shaped(out, x)
 
     @property
     def has_analytic_derivs(self) -> bool:
@@ -55,12 +66,8 @@ class ScalarFunction1D:
     @staticmethod
     def constant(value: float) -> "ScalarFunction1D":
         v = float(value)
-        return ScalarFunction1D(
-            fn=lambda x: np.full_like(np.asarray(x, dtype=float), v) if np.ndim(x) else v,
-            d1=lambda x: np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0,
-            d2=lambda x: np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0,
-            name=f"const({v})",
-        )
+        return ScalarFunction1D(fn=lambda x: v, d1=lambda x: 0.0, d2=lambda x: 0.0,
+                                name=f"const({v})")
 
 
 def exp_transform(f: ScalarFunction1D, N: float) -> ScalarFunction1D:

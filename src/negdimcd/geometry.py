@@ -16,6 +16,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .convexity import bakry_emery
 from .functions import ScalarFunction1D
 from .report import CheckReport
 
@@ -109,45 +110,52 @@ def power_weight_line(exponent: float, lo: float, hi: float) -> WeightedLine:
     return WeightedLine((lo, hi), psi)
 
 
-def _grad_correction(g: float, denom: float) -> float:
+def _grad_correction(g: np.ndarray, denom: float) -> np.ndarray:
     # g^2/denom with the convention 0 when g == 0; denom == 0 is only legal
     # for constant weights.
-    if g == 0.0:
-        return 0.0
     if denom == 0.0:
-        raise ValueError("effective dimension equals intrinsic dimension "
-                         "with a nonconstant weight")
+        if np.any(g != 0.0):
+            raise ValueError("effective dimension equals intrinsic dimension "
+                             "with a nonconstant weight")
+        return np.zeros_like(g)
     return g * g / denom
 
 
-def _tangential_term(psi: ScalarFunction1D, theta: float) -> float:
-    # cot(theta)*psi'(theta), continued to psi''(theta) at the poles.
-    st = math.sin(theta)
-    if abs(st) < _POLE_SIN:
-        return float(psi.deriv2(theta))
-    return float(np.cos(theta) / st * psi.deriv(theta))
+def _cot(theta: np.ndarray):
+    """cot(theta) and 1/sin(theta)^2 on the sphere, with the mask of points
+    within _POLE_SIN of a pole.  Both are 0 at those points: there
+    cot(theta)*g(theta) is continued by g'(theta), since a smooth radial g
+    vanishes at the poles, and its derivative by 0."""
+    st = np.sin(theta)
+    pole = np.abs(st) < _POLE_SIN
+    st = np.where(pole, math.inf, st)
+    return np.cos(theta) / st, 1.0 / (st * st), pole
 
 
-def ricci_n(space: WeightedSpace, point: float, N: float,
-            direction: float = 0.0) -> float:
+def _scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def ricci_n(space: WeightedSpace, point, N: float, direction=0.0):
     """Weighted Ricci curvature for a unit vector, N < 0.
 
     On a line the direction is immaterial.  On the sphere ``direction`` is the
     angle between the vector and the polar direction; the quadratic form is
     diagonal in the (polar, rotational) frame, so radial = 0.0 and tangential
-    = pi/2 are the extreme values.
+    = pi/2 are the extreme values.  ``point`` and ``direction`` may be arrays
+    that broadcast together.
     """
     if not N < 0:
         raise ValueError("N must be negative")
-    if isinstance(space, WeightedLine):
-        psi = space.psi
-        return float(psi.deriv2(point)) - _grad_correction(float(psi.deriv(point)), N - 1.0)
     psi = space.psi
-    ca2 = math.cos(direction) ** 2
-    sa2 = 1.0 - ca2
-    radial = float(psi.deriv2(point)) - _grad_correction(float(psi.deriv(point)), N - 2.0)
-    tangential = _tangential_term(psi, point)
-    return 1.0 + ca2 * radial + sa2 * tangential
+    if isinstance(space, WeightedLine):
+        return _scalar(bakry_emery(psi, N - 1.0, point))
+    theta = np.asarray(point, dtype=float)
+    ca2 = np.cos(direction) ** 2
+    radial = bakry_emery(psi, N - 2.0, theta)
+    cot, _, pole = _cot(theta)
+    tangential = np.where(pole, psi.deriv2(theta), cot * psi.deriv(theta))
+    return _scalar(1.0 + ca2 * radial + (1.0 - ca2) * tangential)
 
 
 @dataclass(frozen=True)
@@ -161,44 +169,42 @@ class CurvatureCertificate:
 
 def min_ricci_n(space: WeightedSpace, N: float, grid: Sequence[float],
                 directions: Sequence[float] | None = None) -> CurvatureCertificate:
-    """Grid infimum of ricci_n; records the argmin (point, direction)."""
+    """Grid infimum of ricci_n; records the argmin (point, direction).
+
+    NaN values are skipped; with no other value K is +inf at no location.
+    """
     if isinstance(space, WeightedLine):
-        dirs = [0.0]
+        dirs = np.zeros(1)
     else:
         # the form is linear in cos^2(direction): endpoints are the extremes
-        dirs = list(directions) if directions is not None else [0.0, math.pi / 2.0]
-    best = math.inf
-    where: Tuple[float, ...] = ()
-    for x in grid:
-        for a in dirs:
-            v = ricci_n(space, float(x), N, a)
-            if v < best:
-                best = v
-                where = (float(x), float(a))
-    return CurvatureCertificate(K=best, N=N, inf_location=where)
+        dirs = np.asarray(directions if directions is not None
+                          else [0.0, math.pi / 2.0], dtype=float)
+    x = np.asarray(grid, dtype=float)
+    vals = ricci_n(space, x[:, None], N, dirs[None, :])
+    vals = np.where(np.isnan(vals), math.inf, vals)
+    i, j = np.unravel_index(np.argmin(vals), vals.shape)
+    if vals[i, j] == math.inf:
+        return CurvatureCertificate(K=math.inf, N=N, inf_location=())
+    return CurvatureCertificate(K=float(vals[i, j]), N=N,
+                                inf_location=(float(x[i]), float(dirs[j])))
 
 
-def laplacian_m(space: WeightedSpace, u: ScalarFunction1D, point: float) -> float:
+def laplacian_m(space: WeightedSpace, u: ScalarFunction1D, point):
     """Weighted Laplacian u'' - u' psi' (plus the cot(theta) u' area term on
     the sphere, continued through the poles)."""
-    up = float(u.deriv(point))
-    upp = float(u.deriv2(point))
-    psi = space.psi
+    x = np.asarray(point, dtype=float)
+    up, upp = u.deriv(x), u.deriv2(x)
+    drift = up * space.psi.deriv(x)
     if isinstance(space, WeightedLine):
-        return upp - up * float(psi.deriv(point))
-    st = math.sin(point)
-    if abs(st) < _POLE_SIN:
-        # cot(theta) u'(theta) -> u''(pole) for smooth radial u
-        area = upp
-    else:
-        area = math.cos(point) / st * up
-    return upp + area - up * float(psi.deriv(point))
+        return _scalar(upp - drift)
+    cot, _, pole = _cot(x)
+    return _scalar(upp + np.where(pole, upp, cot * up) - drift)
 
 
-def _third_deriv(u: ScalarFunction1D, x: float, h: float) -> float:
+def _third_deriv(u: ScalarFunction1D, x: np.ndarray, h: float) -> np.ndarray:
     # fourth-order central stencil applied to the second derivative
     d2 = u.deriv2
-    return float((-d2(x + 2 * h) + 8.0 * d2(x + h) - 8.0 * d2(x - h) + d2(x - 2 * h)) / (12.0 * h))
+    return (-d2(x + 2 * h) + 8.0 * d2(x + h) - 8.0 * d2(x - h) + d2(x - 2 * h)) / (12.0 * h)
 
 
 def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
@@ -214,35 +220,25 @@ def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
     if not N < 0:
         raise ValueError("N must be negative")
     psi = space.psi
-    margins, locations = [], []
-    for x in np.asarray(grid, dtype=float):
-        x = float(x)
-        up = float(u.deriv(x))
-        upp = float(u.deriv2(x))
-        uppp = _third_deriv(u, x, h3)
-        pp = float(psi.deriv(x))
-        ppp = float(psi.deriv2(x))
-        if isinstance(space, WeightedLine):
-            lap_u = upp - up * pp
-            # g = u'^2/2: L_m g = g'' - g' psi'
-            lhs = (upp * upp + up * uppp) - (up * upp) * pp
-            dlap = uppp - upp * pp - up * ppp
-            ric_unit = ppp - _grad_correction(pp, N - 1.0)
-            ric_term = ric_unit * up * up
-        else:
-            st = math.sin(x)
-            q = (math.cos(x) / st if abs(st) >= _POLE_SIN else 0.0) - pp
-            dq = (-1.0 / (st * st) if abs(st) >= _POLE_SIN else 0.0) - ppp
-            lap_u = upp + q * up
-            lhs = (upp * upp + up * uppp) + q * (up * upp)
-            dlap = uppp + dq * up + q * upp
-            ric_unit = ricci_n(space, x, N, direction=0.0)
-            ric_term = ric_unit * up * up
-        lhs -= up * dlap
-        margin = lhs - ric_term - lap_u * lap_u / N
-        margins.append(float(margin))
-        locations.append(x)
-    return CheckReport.from_margins("bochner", margins, locations, tol)
+    x = np.asarray(grid, dtype=float)
+    up, upp = u.deriv(x), u.deriv2(x)
+    uppp = _third_deriv(u, x, h3)
+    pp, ppp = psi.deriv(x), psi.deriv2(x)
+    # g = u'^2/2 has g' = u' u'' and g'' = u''^2 + u' u'''
+    g1, g2 = up * upp, upp * upp + up * uppp
+    if isinstance(space, WeightedLine):
+        lap_u = upp - up * pp
+        lhs = g2 - g1 * pp
+        dlap = uppp - upp * pp - up * ppp
+    else:
+        cot, csc2, pole = _cot(x)
+        q = cot - pp
+        lap_u = upp + q * up + np.where(pole, upp, 0.0)
+        lhs = g2 + q * g1 + np.where(pole, g2, 0.0)
+        dlap = uppp + (-csc2 - ppp) * up + q * upp
+    lhs = lhs - up * dlap
+    margins = lhs - ricci_n(space, x, N) * up * up - lap_u * lap_u / N
+    return CheckReport.from_margins("bochner", margins, x, tol)
 
 
 @dataclass
@@ -312,7 +308,7 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
         notes.append("advisory: noncompact weighted line (truncated Neumann problem)")
     else:
         probe = np.linspace(lo + (hi - lo) * 0.1, hi - (hi - lo) * 0.1, 7)
-        if max(abs(float(space.psi.deriv(t))) for t in probe) > 1e-12:
+        if np.max(np.abs(space.psi.deriv(probe))) > 1e-12:
             notes.append("radial spectrum only; not claimed to be the full gap")
     if abs(lam - lam_half) > tol:
         notes.append(f"mesh too coarse: lambda1 shifted by {abs(lam - lam_half)!r}")
@@ -367,21 +363,16 @@ def product_direction_check(psi1: ScalarFunction1D, psi2: ScalarFunction1D,
     direction grid; nonnegativity is what the product rule rests on.
     """
     N = N1 + N2
-    angles = np.linspace(0.0, math.pi / 2.0, n_directions)
-    margins, locations = [], []
-    for x in x_grid:
-        p1 = float(psi1.deriv(x))
-        h1 = float(psi1.deriv2(x))
-        r1 = h1 - _grad_correction(p1, N1 - 1.0)
-        for y in y_grid:
-            p2 = float(psi2.deriv(y))
-            h2 = float(psi2.deriv2(y))
-            r2 = h2 - _grad_correction(p2, N2 - 1.0)
-            for a in angles:
-                ca, sa = math.cos(a), math.sin(a)
-                grad = p1 * ca + p2 * sa
-                ric_prod = h1 * ca * ca + h2 * sa * sa - _grad_correction(grad, N - 2.0)
-                margin = ric_prod - r1 * ca * ca - r2 * sa * sa
-                margins.append(float(margin))
-                locations.append((float(x), float(y), float(a)))
-    return CheckReport.from_margins("product-directions", margins, locations, tol)
+    # axes: x, y, direction
+    x = np.asarray(x_grid, dtype=float)[:, None, None]
+    y = np.asarray(y_grid, dtype=float)[None, :, None]
+    a = np.linspace(0.0, math.pi / 2.0, n_directions)[None, None, :]
+    p1, h1 = psi1.deriv(x), psi1.deriv2(x)
+    p2, h2 = psi2.deriv(y), psi2.deriv2(y)
+    r1 = h1 - _grad_correction(p1, N1 - 1.0)
+    r2 = h2 - _grad_correction(p2, N2 - 1.0)
+    ca, sa = np.cos(a), np.sin(a)
+    ric_prod = h1 * ca * ca + h2 * sa * sa - _grad_correction(p1 * ca + p2 * sa, N - 2.0)
+    margins = ric_prod - r1 * ca * ca - r2 * sa * sa
+    locations = np.stack(np.broadcast_arrays(x, y, a), axis=-1).reshape(-1, 3)
+    return CheckReport.from_margins("product-directions", margins.ravel(), locations, tol)

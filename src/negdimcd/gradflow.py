@@ -45,7 +45,6 @@ class GradientCurve:
 
     times: np.ndarray
     points: np.ndarray
-    method: str
     step: float
     note: str = ""
 
@@ -135,26 +134,21 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
         xs.append(x)
     times = np.arange(len(xs)) * step
     return GradientCurve(times=times, points=np.asarray(xs, dtype=float),
-                         method="rk4", step=step, note=note)
+                         step=step, note=note)
 
 
-def local_slope(f: ScalarFunction1D, x: float) -> float:
+def local_slope(f: ScalarFunction1D, x):
     """Local descending slope; equals |f'(x)| in the smooth 1-D model."""
-    return abs(float(f.deriv(x)))
+    return np.abs(f.deriv(x))
 
 
-def metric_speed(curve: GradientCurve, i: int) -> float:
-    """|xi'| at sample i by central differences (one-sided at the ends)."""
+def metric_speed(curve: GradientCurve, i):
+    """|xi'| at sample(s) i by central differences (one-sided at the ends)."""
     t, p = curve.times, curve.points
-    if i == 0:
-        return abs((p[1] - p[0]) / (t[1] - t[0]))
-    if i == len(curve) - 1:
-        return abs((p[-1] - p[-2]) / (t[-1] - t[-2]))
-    return abs((p[i + 1] - p[i - 1]) / (t[i + 1] - t[i - 1]))
-
-
-def _speeds(curve: GradientCurve) -> np.ndarray:
-    return np.array([metric_speed(curve, i) for i in range(len(curve))])
+    i = np.asarray(i)
+    lo = np.maximum(i - 1, 0)
+    hi = np.minimum(i + 1, len(curve) - 1)
+    return np.abs((p[hi] - p[lo]) / (t[hi] - t[lo]))
 
 
 def verify_edi(curve: GradientCurve, f: ScalarFunction1D, t_from: float,
@@ -168,10 +162,8 @@ def verify_edi(curve: GradientCurve, f: ScalarFunction1D, t_from: float,
     i0, i1 = curve.index_at(t_from), curve.index_at(t_to)
     if not 0 < i0 < i1 < len(curve):
         raise ValueError("need 0 < t_from < t_to inside the curve horizon")
-    seg = slice(i0, i1 + 1)
-    speeds = _speeds(curve)[seg]
-    slopes = np.array([local_slope(f, x) for x in curve.points[seg]])
-    integrand = speeds**2 + slopes**2
+    seg = np.arange(i0, i1 + 1)
+    integrand = metric_speed(curve, seg) ** 2 + local_slope(f, curve.points[seg]) ** 2
     integral = float(np.trapezoid(integrand, curve.times[seg]))
     drop = float(f(curve.points[i1])) - float(f(curve.points[i0]))
     resid = drop + 0.5 * integral
@@ -193,20 +185,17 @@ def _sq_dist_halves(dists: np.ndarray, K: float, N: float) -> np.ndarray:
 def _evi_margins(curve, values_rhs, S, signs, tol, name, extra_note=""):
     """Shared reduction: margin_i = rhs_i - dS/dt_i - penalty_i."""
     t = curve.times
-    margins, locations = [], []
-    for i in range(1, len(curve) - 1):
-        if signs is not None and signs[i - 1] * signs[i + 1] < 0:
-            # curve crosses the reference point: one-sided derivatives, take
-            # the worse (larger) one
-            dplus = (S[i + 1] - S[i]) / (t[i + 1] - t[i])
-            dminus = (S[i] - S[i - 1]) / (t[i] - t[i - 1])
-            dS = max(dplus, dminus)
-        else:
-            dS = (S[i + 1] - S[i - 1]) / (t[i + 1] - t[i - 1])
-        margins.append(float(values_rhs[i] - dS))
-        locations.append(float(t[i]))
-    return CheckReport.from_margins(name, margins, locations, tol, note=extra_note,
-                                    details={"times": locations, "margins": margins})
+    dplus = (S[2:] - S[1:-1]) / (t[2:] - t[1:-1])
+    dminus = (S[1:-1] - S[:-2]) / (t[1:-1] - t[:-2])
+    # where the curve crosses the reference point the derivative is
+    # one-sided: take the worse (larger) one
+    dS = np.where(signs[:-2] * signs[2:] < 0, np.maximum(dplus, dminus),
+                  (S[2:] - S[:-2]) / (t[2:] - t[:-2]))
+    margins = values_rhs[1:-1] - dS
+    times = t[1:-1]
+    return CheckReport.from_margins(name, margins, times, tol, note=extra_note,
+                                    details={"times": times.tolist(),
+                                             "margins": margins.tolist()})
 
 
 def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
@@ -228,8 +217,7 @@ def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
     S = _sq_dist_halves(dists, K, N)
     ratio = float(fN(z)) / np.asarray(fN(curve.points), dtype=float)
     rhs = (N / 2.0) * (1.0 - ratio) - K * S
-    lloc = max(abs(float(f.deriv(x))) for x in curve.points)
-    allowance = 5.0 * curve.step * lloc
+    allowance = 5.0 * curve.step * float(np.max(local_slope(f, curve.points)))
     note = f"discretization allowance {allowance!r} added to tolerance"
     return _evi_margins(curve, rhs, S, np.sign(curve.points - z),
                         tol + allowance, "evi", note)
@@ -243,8 +231,7 @@ def verify_evi_classical(curve: GradientCurve, f: ScalarFunction1D, K: float,
     S = dists**2 / 4.0
     vals = np.asarray(f(curve.points), dtype=float)
     rhs = 0.5 * (float(f(z)) - vals) - K * S
-    lloc = max(abs(float(f.deriv(x))) for x in curve.points)
-    allowance = 5.0 * curve.step * lloc
+    allowance = 5.0 * curve.step * float(np.max(local_slope(f, curve.points)))
     return _evi_margins(curve, rhs, S, np.sign(curve.points - z),
                         tol + allowance, "evi-classical",
                         f"discretization allowance {allowance!r} added to tolerance")
@@ -355,10 +342,12 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
     xi = integrate_flow(f, x, horizon, step, domain=domain)
     zeta = integrate_flow(f, y, horizon, step, domain=domain)
     for curve in (xi, zeta):
-        for p in curve.points:
-            g = abs(float(f.deriv(p)))
-            if g > L + 1e-12:
-                raise ValueError(f"|f'| = {g!r} exceeds the declared bound {L!r} at x={p!r}")
+        g = local_slope(f, curve.points)
+        over = np.flatnonzero(g > L + 1e-12)
+        if over.size:
+            i = over[0]
+            raise ValueError(f"|f'| = {float(g[i])!r} exceeds the declared bound "
+                             f"{L!r} at x={float(curve.points[i])!r}")
     theta = (2.0 * K + 4.0 * L * L / N) * (t1 + math.sqrt(t1 * t0) + t0) / 3.0
     d0 = abs(x - y)
     rhs = 2.0 * math.exp(-theta) * (
@@ -374,9 +363,6 @@ def claim_convexity_margin(f: ScalarFunction1D, K: float, N: float, L: float,
     gradient bound |f'| <= L: margin(x) = f''(x) - K - L^2/N."""
     if not N < 0:
         raise ValueError("N must be negative")
-    shift = K + L * L / N
-    margins, locations = [], []
-    for x in np.asarray(grid, dtype=float):
-        margins.append(float(f.deriv2(x)) - shift)
-        locations.append(float(x))
-    return CheckReport.from_margins("claim-convexity", margins, locations, tol)
+    x = np.asarray(grid, dtype=float)
+    return CheckReport.from_margins("claim-convexity", f.deriv2(x) - (K + L * L / N),
+                                    x, tol)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
 __all__ = ["CheckReport"]
 
 
@@ -38,34 +40,31 @@ class CheckReport:
 
         +inf margins record trivially-true evaluations and never drag the
         minimum; a check whose every margin is +inf passes with status
-        "trivial".
+        "trivial".  The first NaN makes the check "inconclusive".
+        ``locations`` aligns with ``margins``; a numpy array of locations
+        yields a float (one column) or a tuple of floats (one row).
         """
-        margins = list(margins)
-        locations = list(locations)
-        if len(margins) != len(locations):
+        m = np.asarray(margins, dtype=float)
+        if m.ndim != 1 or len(m) != len(locations):
             raise ValueError("margins and locations must align")
-        if not margins:
+        if not len(m):
             raise ValueError("no margins to reduce")
-        if any(math.isnan(m) for m in margins):
-            i = next(i for i, m in enumerate(margins) if math.isnan(m))
-            return cls(name=name, passed=False, worst_margin=math.nan,
-                       worst_location=locations[i], n_evaluations=len(margins),
-                       tolerance=tolerance, status="inconclusive",
-                       note=note or "nan margin", details=details or {})
-        worst = math.inf
-        where = None
-        for m, loc in zip(margins, locations):
-            if m < worst:
-                worst = m
-                where = loc
+        nan = np.isnan(m)
+        i = int(np.argmax(nan)) if nan.any() else int(np.argmin(m))
+        where = locations[i]
+        if isinstance(locations, np.ndarray):
+            where = where.item() if where.ndim == 0 else tuple(where.tolist())
+        worst = float(m[i])
+        common = dict(name=name, n_evaluations=len(m), tolerance=tolerance,
+                      details=details or {})
+        if nan.any():
+            return cls(passed=False, worst_margin=math.nan, worst_location=where,
+                       status="inconclusive", note=note or "nan margin", **common)
         if worst == math.inf:
-            return cls(name=name, passed=True, worst_margin=math.inf,
-                       worst_location=None, n_evaluations=len(margins),
-                       tolerance=tolerance, status="trivial", note=note,
-                       details=details or {})
-        return cls(name=name, passed=bool(worst >= -tolerance), worst_margin=worst,
-                   worst_location=where, n_evaluations=len(margins),
-                   tolerance=tolerance, note=note, details=details or {})
+            return cls(passed=True, worst_margin=math.inf, worst_location=None,
+                       status="trivial", note=note, **common)
+        return cls(passed=bool(worst >= -tolerance), worst_margin=worst,
+                   worst_location=where, note=note, **common)
 
     @classmethod
     def vacuous(cls, name: str, tolerance: float, note: str) -> "CheckReport":

@@ -392,19 +392,16 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
     theta = np.abs(Tx - xs)
     psi_x = np.asarray(space.psi(xs), dtype=float)
     j1 = np.exp(psi_x - np.asarray(space.psi(Tx), dtype=float)) * dTx
-    margins, locations = [], []
-    for t in t_grid:
-        t = float(t)
-        coef0 = np.asarray(tau(K, N, 1.0 - t, theta), dtype=float)
-        coef1 = np.asarray(tau(K, N, t, theta), dtype=float)
-        Ttx = (1.0 - t) * xs + t * Tx
-        jt = (np.exp(psi_x - np.asarray(space.psi(Ttx), dtype=float))
-              * ((1.0 - t) + t * dTx))
-        vals = coef0 + coef1 * np.exp(np.log(j1) / N) - np.exp(np.log(jt) / N)
-        for x, v in zip(xs, vals):
-            margins.append(float(v))
-            locations.append((float(x), t))
-    return CheckReport.from_margins("jacobian-convexity", margins, locations, tol)
+    # axes: t, x
+    t = np.asarray(t_grid, dtype=float)[:, None]
+    coef0 = tau(K, N, 1.0 - t, theta)
+    coef1 = tau(K, N, t, theta)
+    Ttx = (1.0 - t) * xs + t * Tx
+    jt = np.exp(psi_x - space.psi(Ttx)) * ((1.0 - t) + t * dTx)
+    margins = coef0 + coef1 * np.exp(np.log(j1) / N) - np.exp(np.log(jt) / N)
+    locations = np.stack(np.broadcast_arrays(xs, t), axis=-1).reshape(-1, 2)
+    return CheckReport.from_margins("jacobian-convexity", margins.ravel(), locations,
+                                    tol)
 
 
 def _interval_measure(space: WeightedLine, interval: Tuple[float, float]) -> float:

@@ -1,10 +1,17 @@
 """Command-line front end: suites, certify, merge, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from negdimcd.cli import main
+from negdimcd import transport
+from negdimcd.cli import Record, main
+from negdimcd.quadrature import QuadratureError
 
 
 def write_cfg(path, text):
@@ -132,6 +139,100 @@ mesh = 800
         assert "lambda1=" in by_id["geometry/spectral-gap"][1]
 
 
+SQRT_CFG = """
+[run]
+suite = convexity
+
+[function]
+expr = sqrt(x)
+domain = -1 3
+
+[params]
+K = 0
+N = -2
+"""
+
+
+class TestRecordValues:
+    def test_row_keeps_signs_of_infinities(self):
+        rows = [Record("s/x", "", v, False).row()[2]
+                for v in (-np.inf, np.inf, np.nan, -0.5, 0.0)]
+        assert rows == ["-inf", "inf", "nan", "-0.5", "0.0"]
+        assert [float(r) for r in rows[:2]] == [-np.inf, np.inf]
+
+    def test_undefined_points_keep_minus_inf_and_nan(self, tmp_path, capsys):
+        # sqrt is undefined on x < 0: the pointwise margin there is -inf, and
+        # the pairs reaching x < 0 have NaN margins, which the fold over pairs
+        # keeps beside the finite ones of pairs inside (0, 3)
+        cfg = write_cfg(tmp_path / "s.cfg", SQRT_CFG)
+        with np.errstate(invalid="ignore"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "FAIL convexity/pointwise margin=-inf" in capsys.readouterr().out
+        _, rows = read_records(tmp_path / "o")
+        assert [r[0] for r in rows] == ["convexity/pointwise", "convexity/geodesic",
+                                        "convexity/derivative"]
+        assert [r[2:] for r in rows] == [["-inf", "false"], ["nan", "false"],
+                                         ["nan", "false"]]
+
+
+class TestRunErrors:
+    def test_no_admissible_segment_is_a_config_error(self, tmp_path):
+        # pi*sqrt(N/K) = 3.1e-7 is below 1e-6 of the window: no pair exists
+        cfg = write_cfg(tmp_path / "h.cfg", """
+[run]
+suite = convexity
+
+[function]
+expr = x**2/2
+domain = -3 3
+
+[params]
+K = -1e14
+N = -1
+""")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "negdimcd.cli", "run", cfg,
+                               "--out-dir", str(tmp_path / "o")],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: no segment length")
+
+    def test_no_pairs_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg", CONVEXITY_CFG.replace("pairs = 25", "pairs = 0"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "pairs must be at least 1" in capsys.readouterr().err
+
+    def test_quadrature_failure_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise QuadratureError("integral did not stabilize after 6 doublings")
+
+        monkeypatch.setattr(transport, "check_entropic_cd", fail)
+        cfg = write_cfg(tmp_path / "t.cfg", """
+[run]
+suite = transport
+
+[space]
+kind = gaussian
+
+[mu0]
+kind = gaussian
+
+[mu1]
+kind = gaussian
+mean = 1.0
+
+[params]
+K = 1
+N = -2
+checks = entropic
+""")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: integral did not stabilize after 6 doublings\n")
+
+
 class TestCertify:
     def test_quadratic_certificate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "q.cfg", """
@@ -179,6 +280,15 @@ domain = -1 1
         for r in rows:
             kval = float(r[1].split("K=")[1])
             assert abs(kval) <= 1e-5
+
+
+    def test_shipped_quadratic_config_records(self, tmp_path):
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "certify-quadratic.cfg"
+        assert main(["certify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "records.csv").read_text(encoding="utf-8") == (
+            "check_id,params,worst_margin,pass\n"
+            "certify/pointwise,N=-10.0;K=1.0,0.0,true\n"
+            "certify/pointwise,N=-2.0;K=1.0,0.0,true\n")
 
 
 class TestMerge:
