@@ -168,8 +168,8 @@ def _density_from(cfg, section: str) -> transport.Density1D:
         expr = _get(cfg, section, "expr", required=True)
         lo, hi = _floats(_get(cfg, section, "support", required=True))
         fun = compile_expr(expr)
-        return transport.Density1D(support=(lo, hi), pdf=fun, normalize=True,
-                                   name=expr)
+        return transport.Density1D(support=(lo, hi), pdf=fun, d_pdf=fun.deriv,
+                                   normalize=True, name=expr)
     raise ConfigError(f"[{section}] kind={kind!r} not one of gaussian|uniform|expr")
 
 
@@ -206,6 +206,7 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
         raise ConfigError(f"[params] pairs must be at least 1, got {n_pairs}")
     grid_n = int(_get(cfg, "params", "grid", "200"))
     t_grid = _floats(_get(cfg, "params", "t_grid", "0.25 0.5 0.75"))
+    tol = convexity.TOL_ANALYTIC if tol is None else tol
     rng = _rng(seed, "convexity-pairs")
     pairs = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
     grid = convexity.interior_grid(window, grid_n)
@@ -260,11 +261,8 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     u_expr = _get(cfg, "params", "u", "x")
     var = "theta" if isinstance(space, geometry.RotSphere) else "x"
     u = compile_expr(u_expr, var=var)
-    # expression functions differentiate by finite differences; the repeated
-    # stencils in the Bochner terms then need a looser tolerance
-    btol = tol if tol is not None else 1e-4
     rep = geometry.bochner_margin(space, u, N, np.linspace(lo + pad, hi - pad, 64),
-                                  tol=btol)
+                                  tol=1e-8 if tol is None else tol)
     records.append(_record("geometry", rep, N=N, u=u_expr))
     mesh = int(_get(cfg, "params", "mesh", "2000"))
     eig = geometry.lichnerowicz(space, N, mesh_size=mesh)

@@ -35,11 +35,9 @@ __all__ = [
     "example_function",
     "interior_grid",
     "TOL_ANALYTIC",
-    "TOL_FD",
 ]
 
 TOL_ANALYTIC = 1e-9
-TOL_FD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,12 +72,6 @@ def interior_grid(domain: Tuple[float, float], n: int,
     return np.linspace(lo + pad, hi - pad, n)
 
 
-def _default_tol(f: ScalarFunction1D, tol):
-    if tol is not None:
-        return tol
-    return TOL_ANALYTIC if f.has_analytic_derivs else TOL_FD
-
-
 def bakry_emery(f: ScalarFunction1D, N: float, x) -> np.ndarray:
     """The Bakry-Emery term f'' - f'^2/N at the points x.
 
@@ -93,9 +85,8 @@ def bakry_emery(f: ScalarFunction1D, N: float, x) -> np.ndarray:
 
 
 def check_pointwise(f: ScalarFunction1D, p: ConvexityParams,
-                    grid: Sequence[float], tol: float | None = None) -> CheckReport:
+                    grid: Sequence[float], tol: float = TOL_ANALYTIC) -> CheckReport:
     """Hessian criterion: f_N''(x) + (K/N) f_N(x) >= 0 on the grid."""
-    tol = _default_tol(f, tol)
     x = np.asarray(grid, dtype=float)
     scale = np.exp(-f(x) / p.N) / -p.N
     be = bakry_emery(f, p.N, x)
@@ -132,9 +123,8 @@ def geodesic_margin(f: ScalarFunction1D, K: float, N: float,
 
 
 def check_geodesic(f: ScalarFunction1D, p: ConvexityParams, x0: float, x1: float,
-                   t_grid: Sequence[float], tol: float | None = None) -> CheckReport:
+                   t_grid: Sequence[float], tol: float = TOL_ANALYTIC) -> CheckReport:
     """Segment criterion: sigma-weighted endpoint combination dominates f_N."""
-    tol = _default_tol(f, tol)
     d = abs(x1 - x0)
     if d >= p.radius_limit():
         raise ValueError(
@@ -147,12 +137,11 @@ def check_geodesic(f: ScalarFunction1D, p: ConvexityParams, x0: float, x1: float
 
 
 def check_derivative(f: ScalarFunction1D, p: ConvexityParams, x0: float,
-                     x1: float, tol: float | None = None) -> CheckReport:
+                     x1: float, tol: float = TOL_ANALYTIC) -> CheckReport:
     """Endpoint-derivative criterion along the segment x0 -> x1.
 
     Margin: f_N(x1) - c_{K/N}(d) f_N(x0) - (s_{K/N}(d)/d) * (f_N o gamma)'(0).
     """
-    tol = _default_tol(f, tol)
     d = abs(x1 - x0)
     if d == 0:
         raise ValueError("x0 and x1 must differ (nonconstant segment required)")

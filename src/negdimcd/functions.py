@@ -1,9 +1,9 @@
-"""Scalar functions with optional analytic derivatives and FD fallback."""
+"""Scalar functions of one variable with their first two derivatives."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -21,18 +21,16 @@ def _shaped(out, x):
 
 @dataclass(frozen=True)
 class ScalarFunction1D:
-    """A smooth function of one variable.
+    """A smooth function of one variable with its first two derivatives.
 
-    ``d1``/``d2`` are analytic derivative evaluators when available; missing
-    ones fall back to central differences with step ``fd_step``.  Callables
-    should accept floats or numpy arrays elementwise; a numpy array argument
-    always gets an array of its shape back.
+    ``d1``/``d2`` evaluate f' and f''.  Callables should accept floats or
+    numpy arrays elementwise; a numpy array argument always gets an array of
+    its shape back.
     """
 
     fn: Callable
-    d1: Optional[Callable] = None
-    d2: Optional[Callable] = None
-    fd_step: float = 1e-5
+    d1: Callable
+    d2: Callable
     name: str = ""
 
     def __call__(self, x):
@@ -42,26 +40,12 @@ class ScalarFunction1D:
     value = __call__
 
     def deriv(self, x):
-        if self.d1 is not None:
-            out = self.d1(x)
-        else:
-            h = self.fd_step
-            out = (self.fn(x + h) - self.fn(x - h)) / (2.0 * h)
+        out = self.d1(x)
         return out if type(x) is not np.ndarray else _shaped(out, x)
 
     def deriv2(self, x):
-        h = self.fd_step
-        if self.d2 is not None:
-            out = self.d2(x)
-        elif self.d1 is not None:
-            out = (self.d1(x + h) - self.d1(x - h)) / (2.0 * h)
-        else:
-            out = (self.fn(x + h) - 2.0 * self.fn(x) + self.fn(x - h)) / (h * h)
+        out = self.d2(x)
         return out if type(x) is not np.ndarray else _shaped(out, x)
-
-    @property
-    def has_analytic_derivs(self) -> bool:
-        return self.d1 is not None and self.d2 is not None
 
     @staticmethod
     def constant(value: float) -> "ScalarFunction1D":
@@ -90,5 +74,4 @@ def exp_transform(f: ScalarFunction1D, N: float) -> ScalarFunction1D:
         fpp = np.asarray(f.deriv2(x), dtype=float)
         return (fp * fp / (N * N) - fpp / N) * fn(x)
 
-    return ScalarFunction1D(fn=fn, d1=d1, d2=d2, fd_step=f.fd_step,
-                            name=f"exp(-({f.name or 'f'})/{N})")
+    return ScalarFunction1D(fn=fn, d1=d1, d2=d2, name=f"exp(-({f.name or 'f'})/{N})")

@@ -214,8 +214,8 @@ def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
 
     margin(x) = L_m(|grad u|^2/2) - <grad L_m u, grad u>
                 - Ric_N(grad u) - (L_m u)^2 / N,
-    assembled from analytic derivatives where available; the third derivative
-    of u uses a fourth-order central stencil of step ``h3``.
+    assembled from the first and second derivatives of u and psi; the third
+    derivative of u uses a fourth-order central stencil of step ``h3``.
     """
     if not N < 0:
         raise ValueError("N must be negative")

@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature with node-doubling convergence control."""
+"""Composite Gauss-Legendre quadrature with panel-doubling convergence control."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ __all__ = ["QuadratureError", "QuadratureResult", "gl_nodes", "fixed_gl", "integ
 
 
 class QuadratureError(RuntimeError):
-    """Raised when node doubling fails to stabilize an integral."""
+    """Raised when panel doubling fails to stabilize an integral."""
 
 
 @lru_cache(maxsize=64)
@@ -46,20 +46,20 @@ class QuadratureResult:
 def integrate(fn, a: float, b: float, n0: int = 64, panels: int = 4,
               rtol: float = 1e-11, atol: float = 1e-13,
               max_doublings: int = 6, strict: bool = True):
-    """Integrate fn over [a, b], doubling nodes-per-panel until stable.
+    """Integrate fn over [a, b], doubling the number of n0-point panels
+    until stable; the Gauss order never grows past ``n0``.
 
     Returns a QuadratureResult; with ``strict`` a failure to converge raises
     QuadratureError instead of returning an unconverged value.
     """
     if not b > a:
         raise ValueError("need b > a")
-    n = n0
-    prev = fixed_gl(fn, a, b, n, panels)
-    evals = n * panels
+    prev = fixed_gl(fn, a, b, n0, panels)
+    evals = n0 * panels
     for _ in range(max_doublings):
-        n *= 2
-        cur = fixed_gl(fn, a, b, n, panels)
-        evals += n * panels
+        panels *= 2
+        cur = fixed_gl(fn, a, b, n0, panels)
+        evals += n0 * panels
         err = abs(cur - prev)
         if err <= atol + rtol * abs(cur):
             return QuadratureResult(cur, err, True, evals)
@@ -67,5 +67,5 @@ def integrate(fn, a: float, b: float, n0: int = 64, panels: int = 4,
     if strict:
         raise QuadratureError(
             f"integral did not stabilize after {max_doublings} doublings "
-            f"(last delta {abs(cur - prev)!r})")
-    return QuadratureResult(cur, abs(cur - prev), False, evals)
+            f"(last delta {err!r})")
+    return QuadratureResult(cur, err, False, evals)

@@ -58,7 +58,8 @@ class Density1D:
 
     ``pdf`` is the Lebesgue density, positive on the open support.  The cdf
     and quantile evaluators are built from a Simpson table on ``quad_nodes``
-    points; the total mass must be 1 within 1e-8 unless ``normalize`` is set.
+    points; the total mass must be 1 within 1e-8 unless ``normalize`` is set,
+    which divides ``pdf`` and ``d_pdf`` by it.
     """
 
     support: Tuple[float, float]
@@ -80,11 +81,18 @@ class Density1D:
             raise ValueError("pdf must be nonnegative on its support")
         cdf = cumulative_simpson(pv, x=xs, initial=0.0)
         mass = float(cdf[-1])
+        if not math.isfinite(mass):
+            raise ValueError(f"density mass {mass!r} is not finite")
         if self.normalize:
             if mass <= 0:
                 raise ValueError("cannot normalize a zero-mass density")
-            base = self.pdf
-            self.pdf = lambda x, _b=base, _m=mass: np.asarray(_b(x), dtype=float) / _m
+
+            def scaled(fn):
+                return lambda x: np.asarray(fn(x), dtype=float) / mass
+
+            self.pdf = scaled(self.pdf)
+            if self.d_pdf is not None:
+                self.d_pdf = scaled(self.d_pdf)
             cdf = cdf / mass
         elif abs(mass - 1.0) > 1e-8:
             raise ValueError(f"density mass {mass!r} differs from 1 by more than 1e-8")

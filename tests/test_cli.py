@@ -137,6 +137,11 @@ mesh = 800
         by_id = {r[0]: r for r in rows}
         assert float(by_id["geometry/min-ricci"][2]) == pytest.approx(1.0, abs=1e-9)
         assert "lambda1=" in by_id["geometry/spectral-gap"][1]
+        # u = cos on the round sphere has Bochner margin 4 cos^2(theta) at
+        # N = -2; exact derivatives give its grid minimum to round-off
+        pad = np.pi * 1e-3
+        want = np.min(4.0 * np.cos(np.linspace(pad, np.pi - pad, 64)) ** 2)
+        assert float(by_id["geometry/bochner"][2]) == pytest.approx(want, rel=1e-12)
 
 
 SQRT_CFG = """
@@ -332,6 +337,56 @@ class TestExpressionGrammar:
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "grammar" in err or "not in the grammar" in err
+
+    def test_complex_constant_fails_every_record(self, tmp_path, capsys):
+        # (2 - 3)**0.5 is NaN, as in an array, not a complex number
+        cfg = write_cfg(tmp_path / "c.cfg", CONVEXITY_CFG.replace(
+            "kind = c", "expr = (2 - 3)**0.5 + x**2\ndomain = -1 1"))
+        with np.errstate(invalid="ignore"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_records(tmp_path / "o")
+        assert len(rows) == 3 and all(r[3] == "false" for r in rows)
+
+    def test_complex_constant_certify_fails(self, tmp_path):
+        cfg = write_cfg(tmp_path / "k.cfg", """
+[certify]
+N = -2
+
+[function]
+expr = (2 - 3)**0.5 + x**2
+domain = -1 1
+""")
+        with np.errstate(invalid="ignore"):
+            assert main(["certify", cfg, "--out-dir", str(tmp_path / "o")]) == 1
+        _, rows = read_records(tmp_path / "o")
+        assert [r[2:] for r in rows] == [["-inf", "false"]]
+
+    def test_nonfinite_density_mass_is_an_error_line(self, tmp_path, capsys):
+        # pdf(0) = inf makes the Simpson mass NaN
+        cfg = write_cfg(tmp_path / "m.cfg", """
+[run]
+suite = transport
+
+[space]
+kind = gaussian
+
+[mu0]
+kind = expr
+expr = 0.5/sqrt(x)
+support = 0 1
+
+[mu1]
+kind = gaussian
+
+[params]
+K = 1
+N = -2
+checks = cd jacobian
+""")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: density mass nan is not finite\n"
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         import os

@@ -1,0 +1,205 @@
+"""Config expressions: exact derivatives against sympy, kinks and constants."""
+
+import math
+import operator
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from negdimcd import ConvexityParams, check_pointwise
+from negdimcd import expr as expr_module
+from negdimcd.expr import compile_expr
+
+X = sympy.Symbol("x", real=True)
+
+SYMPY_FUNCS = {"exp": sympy.exp, "log": sympy.log, "sin": sympy.sin, "cos": sympy.cos,
+               "tan": sympy.tan, "sinh": sympy.sinh, "cosh": sympy.cosh,
+               "tanh": sympy.tanh, "sqrt": sympy.sqrt, "abs": sympy.Abs}
+SYMPY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv, "**": operator.pow}
+
+
+# ---------------------------------------------------------------------------
+# random grammar expressions, each a pair (text, sympy expression)
+
+
+def _literal(k):
+    # k/4 in [0, 3]; whole numbers are written as int literals
+    return (str(k // 4) if k % 4 == 0 else repr(k / 4)), sympy.Rational(k, 4)
+
+
+def _call(name, a):
+    return f"{name}({a[0]})", SYMPY_FUNCS[name](a[1])
+
+
+def _binop(op, a, b):
+    return f"({a[0]} {op} {b[0]})", SYMPY_OPS[op](a[1], b[1])
+
+
+def _neg(a):
+    return f"(-{a[0]})", -a[1]
+
+
+constants = st.one_of(st.integers(0, 12).map(_literal),
+                      st.sampled_from([("pi", sympy.pi), ("e", sympy.E)]))
+
+
+def _extend(inner):
+    # every function argument contains x: a constant argument such as pi/2
+    # sits on a special value of cos that float rounding moves it off
+    operand = st.one_of(inner, constants)
+    arithmetic = st.sampled_from(["+", "-", "*", "/"])
+    return st.one_of(
+        st.builds(_call, st.sampled_from(sorted(SYMPY_FUNCS)), inner),
+        st.builds(_binop, arithmetic, inner, operand),
+        st.builds(_binop, arithmetic, operand, inner),
+        st.builds(_binop, st.just("**"), inner, constants),   # constant exponent
+        st.builds(_binop, st.just("**"), operand, inner),     # variable exponent
+        st.builds(_neg, inner))
+
+
+expressions = st.recursive(st.just(("x", X)), _extend, max_leaves=6)
+# |x| >= 1/64: for tiny x, 0.25**x rounds to exactly 1 over a range of x, so
+# log(0.25**x) reads 0 and no ulp move of x shows that its digits are gone
+points = st.lists(st.builds(operator.mul, st.sampled_from([-1.0, 1.0]),
+                            st.floats(1.0 / 64.0, 3.0)), min_size=1, max_size=3)
+
+
+def exact(expression, x):
+    """sympy's value at the float x to 30 digits, or None where it is not a
+    finite real number."""
+    try:
+        z = complex(expression.subs(X, sympy.Float(x, 30)).evalf(30))
+    except (TypeError, ValueError):   # zoo, nan, an unevaluated DiracDelta
+        return None
+    return z.real if z.imag == 0 and math.isfinite(z.real) else None
+
+
+def around(g, x):
+    """g at x, then at the floats one and two ulps below and above x."""
+    xs = [x]
+    for direction in (-math.inf, math.inf):
+        y = x
+        for _ in range(2):
+            y = math.nextafter(y, direction)
+            xs.append(y)
+    return [float(g(v)) for v in xs]
+
+
+def rounding_allowance(values):
+    # a value that moves by d when x moves by an ulp carries rounding errors
+    # of about that size in its intermediates
+    return 16.0 * max(abs(v - values[0]) for v in values)
+
+
+class TestAgainstSympy:
+    @settings(max_examples=150, deadline=None)
+    @given(expressions, points)
+    def test_value_and_derivatives(self, expression, xs):
+        text, sym = expression
+        f = compile_expr(text)
+        compared = 0
+        with np.errstate(all="ignore"):
+            for order, g in enumerate((f, f.deriv, f.deriv2)):
+                want_expr = sympy.diff(sym, X, order)
+                for x in xs:
+                    want = exact(want_expr, x)
+                    got = around(g, x)
+                    # skipped: points where the text passes through an
+                    # undefined value (0**-1, log of a negative base) that
+                    # sympy simplifies away, and overflow
+                    if want is None or not all(map(math.isfinite, got)):
+                        continue
+                    assert abs(got[0] - want) <= (1e-9 * (1.0 + abs(want))
+                                                  + rounding_allowance(got)), \
+                        (text, order, x, got[0], want)
+                    compared += 1
+        assume(compared)
+
+    @settings(max_examples=150, deadline=None)
+    @given(expressions, points)
+    def test_scalar_and_array_calls_agree(self, expression, xs):
+        f = compile_expr(expression[0])
+        grid = np.array(xs)
+        with np.errstate(all="ignore"):
+            for g in (f, f.deriv, f.deriv2):
+                values = g(grid)
+                assert values.shape == grid.shape
+                for x, value in zip(xs, values):
+                    scalar = g(x)
+                    assert np.ndim(scalar) == 0 and not np.iscomplexobj(scalar)
+                    if not math.isfinite(scalar):
+                        assert value == scalar or (math.isnan(value) and math.isnan(scalar))
+                        continue
+                    assert abs(value - scalar) <= (1e-12 * (1.0 + abs(scalar))
+                                                   + rounding_allowance(around(g, x)))
+
+
+class TestDerivatives:
+    @pytest.mark.parametrize("text,d1,d2", [
+        ("x**3/3 - 2*x", lambda x: x * x - 2.0, lambda x: 2.0 * x),
+        ("exp(-x**2/2)", lambda x: -x * np.exp(-x * x / 2),
+         lambda x: (x * x - 1.0) * np.exp(-x * x / 2)),
+        ("log(cosh(x)) + x**3/10", lambda x: np.tanh(x) + 0.3 * x * x,
+         lambda x: 1.0 / np.cosh(x) ** 2 + 0.6 * x),
+        ("2**x", lambda x: np.log(2.0) * 2.0 ** x, lambda x: np.log(2.0) ** 2 * 2.0 ** x),
+    ])
+    def test_closed_forms(self, text, d1, d2):
+        f = compile_expr(text)
+        x = np.linspace(-2.0, 2.0, 41)
+        np.testing.assert_allclose(f.deriv(x), d1(x), rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(f.deriv2(x), d2(x), rtol=1e-13, atol=1e-14)
+
+    def test_array_and_pointwise_second_derivatives_agree(self):
+        # central differences put these 1.8e-5 apart; exact derivatives agree
+        # to round-off
+        f = compile_expr("log(cosh(x)) + x**3/10")
+        x = np.linspace(-3.0, 3.0, 101)
+        pointwise = [float(f.deriv2(float(v))) for v in x]
+        np.testing.assert_allclose(f.deriv2(x), pointwise, rtol=1e-13, atol=1e-13)
+
+    def test_abs_kink_on_the_grid_is_undefined(self):
+        f = compile_expr("abs(x)")
+        assert f.deriv(-2.0) == -1.0 and f.deriv(2.0) == 1.0
+        assert f.deriv2(2.0) == 0.0 and math.isnan(f.deriv2(0.0))
+        p = ConvexityParams(-1.0, -2.0, (-1.0, 1.0))
+        rep = check_pointwise(f, p, np.linspace(-1.0, 1.0, 21))
+        assert not rep.passed and rep.worst_margin == -math.inf
+        assert rep.note == "second derivative undefined at x=0.0"
+        # a grid that misses the kink sees the two linear pieces only
+        rep = check_pointwise(f, p, np.linspace(-1.0, 1.0, 20))
+        assert rep.passed and rep.note == ""
+
+    def test_derivatives_are_built_on_first_use(self, monkeypatch):
+        calls = []
+        original = expr_module._diff
+        monkeypatch.setattr(expr_module, "_diff",
+                            lambda node, var: calls.append(node) or original(node, var))
+        f = compile_expr("sin(x)*x")
+        assert f(0.5) == pytest.approx(math.sin(0.5) * 0.5) and not calls
+        assert f.deriv(0.5) == pytest.approx(math.cos(0.5) * 0.5 + math.sin(0.5))
+        first = len(calls)
+        f.deriv(0.7)
+        assert first > 0 and len(calls) == first
+
+
+class TestConstants:
+    def test_negative_base_to_a_fractional_power_is_nan(self):
+        f = compile_expr("(2 - 3)**0.5 + x**2")
+        with np.errstate(invalid="ignore"):
+            scalar, values = f(1.0), f(np.array([0.0, 1.0]))
+        assert not np.iscomplexobj(scalar) and math.isnan(scalar)
+        assert np.isnan(values).all()
+        assert float(f.deriv(1.0)) == 2.0 and float(f.deriv2(1.0)) == 2.0
+
+    def test_pi_and_e(self):
+        f = compile_expr("pi*x + e")
+        assert f(2.0) == 2.0 * math.pi + math.e
+        assert f.deriv(2.0) == math.pi and f.deriv2(2.0) == 0.0
+
+    def test_theta_variable(self):
+        f = compile_expr("cos(theta)", var="theta")
+        assert f.deriv(0.5) == -math.sin(0.5) and f.deriv2(0.5) == -math.cos(0.5)

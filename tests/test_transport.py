@@ -55,6 +55,21 @@ class TestDensity1D:
         assert float(mu.cdf(2.0)) == pytest.approx(1.0, abs=1e-12)
         assert float(mu.pdf(1.0)) == pytest.approx(0.5, abs=1e-12)
 
+    def test_normalize_scales_the_derivative(self):
+        # the Fisher information of a measure against itself is 0; an
+        # unscaled d_pdf made it 17.79 here
+        space = power_weight_line(-3.0, 0.5, 8.0)
+        mu = reference_density(space, require_probability=False)
+        assert float(mu.pdf_deriv(2.0)) == pytest.approx(
+            -3.0 / 2.0 * float(mu.pdf(2.0)), rel=1e-12)
+        assert fisher_information(mu, space) <= 1e-20
+
+    def test_nonfinite_mass_rejected(self):
+        from negdimcd import Density1D
+        with np.errstate(divide="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="not finite"):
+            Density1D(support=(0.0, 1.0), pdf=lambda x: 0.5 / np.sqrt(x), normalize=True)
+
 
 class TestW2:
     def test_identity(self):
