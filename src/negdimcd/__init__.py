@@ -54,7 +54,6 @@ from .report import CheckReport
 from .transport import (
     Density1D,
     GeodesicPath,
-    TransportPlan1D,
     brunn_minkowski,
     check_cd,
     check_entropic_cd,
@@ -68,7 +67,6 @@ from .transport import (
     relative_entropy,
     renyi_entropy,
     talagrand_check,
-    transport_map,
     uniform_density,
     w2,
 )

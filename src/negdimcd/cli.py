@@ -283,46 +283,37 @@ def run_transport(cfg, seed: int, tol: float | None) -> list[Record]:
     checks = _get(cfg, "params", "checks",
                   "cd cdstar jacobian bm entropic hwi talagrand logsobolev").split()
     t_grid = _floats(_get(cfg, "params", "t_grid", "0.25 0.5 0.75"))
-    records = []
-    needs_pair = {"cd", "cdstar", "jacobian", "entropic", "hwi"}
-    if needs_pair & set(checks):
-        mu0 = _density_from(cfg, "mu0")
-        mu1 = _density_from(cfg, "mu1")
+    wanted = set(checks)
+    pair = {"cd", "cdstar", "jacobian", "entropic", "hwi"}
+    mu0 = (_density_from(cfg, "mu0")
+           if wanted & (pair | {"talagrand", "logsobolev"}) else None)
+    mu1 = _density_from(cfg, "mu1") if wanted & pair else None
+    t_bm = float(_get(cfg, "params", "t", "0.5")) if "bm" in wanted else None
+
+    def bm():
+        A0 = tuple(_floats(_get(cfg, "params", "A0", required=True)))
+        A1 = tuple(_floats(_get(cfg, "params", "A1", required=True)))
+        return transport.brunn_minkowski(space, A0, A1, t_bm, K, N, tol=tol)
+
+    calls = {
+        "cd": lambda: transport.check_cd(space, mu0, mu1, K, N, t_grid, tol=tol),
+        "cdstar": lambda: transport.check_cd(space, mu0, mu1, K, N, t_grid,
+                                             mode="CDstar", tol=tol),
+        "jacobian": lambda: transport.check_jacobian_convexity(space, mu0, mu1, K, N,
+                                                               t_grid, tol=tol),
+        "bm": bm,
+        "entropic": lambda: transport.check_entropic_cd(space, mu0, mu1, K, N, t_grid,
+                                                        tol=tol),
+        "hwi": lambda: transport.hwi_check(space, mu0, mu1, K, N, tol=tol),
+        "talagrand": lambda: transport.talagrand_check(space, mu0, K, N, tol=tol),
+        "logsobolev": lambda: transport.log_sobolev_check(space, mu0, K, N, tol=tol),
+    }
     for check in checks:
-        if check == "cd":
-            rep = transport.check_cd(space, mu0, mu1, K, N, t_grid, tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        elif check == "cdstar":
-            rep = transport.check_cd(space, mu0, mu1, K, N, t_grid, mode="CDstar",
-                                     tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        elif check == "jacobian":
-            rep = transport.check_jacobian_convexity(space, mu0, mu1, K, N, t_grid,
-                                                     tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        elif check == "bm":
-            A0 = tuple(_floats(_get(cfg, "params", "A0", required=True)))
-            A1 = tuple(_floats(_get(cfg, "params", "A1", required=True)))
-            t = float(_get(cfg, "params", "t", "0.5"))
-            rep = transport.brunn_minkowski(space, A0, A1, t, K, N, tol=tol)
-            records.append(_record("transport", rep, K=K, N=N, t=t))
-        elif check == "entropic":
-            rep = transport.check_entropic_cd(space, mu0, mu1, K, N, t_grid, tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        elif check == "hwi":
-            rep = transport.hwi_check(space, mu0, mu1, K, N, tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        elif check == "talagrand":
-            mu = _density_from(cfg, "mu0")
-            rep = transport.talagrand_check(space, mu, K, N, tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        elif check == "logsobolev":
-            mu = _density_from(cfg, "mu0")
-            rep = transport.log_sobolev_check(space, mu, K, N, tol=tol)
-            records.append(_record("transport", rep, K=K, N=N))
-        else:
+        if check not in calls:
             raise ConfigError(f"[params] checks: unknown check {check!r}")
-    return records
+    return [_record("transport", calls[check](), K=K, N=N,
+                    **({"t": t_bm} if check == "bm" else {}))
+            for check in checks]
 
 
 def _builtin_battery(seed: int, tol: float | None):
@@ -523,7 +514,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_merge.set_defaults(fn=cmd_merge)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # floating-point events are not printed: the records carry them
+        # as -inf, nan and pass=false
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

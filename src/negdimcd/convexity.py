@@ -88,13 +88,17 @@ def check_pointwise(f: ScalarFunction1D, p: ConvexityParams,
                     grid: Sequence[float], tol: float = TOL_ANALYTIC) -> CheckReport:
     """Hessian criterion: f_N''(x) + (K/N) f_N(x) >= 0 on the grid."""
     x = np.asarray(grid, dtype=float)
-    scale = np.exp(-f(x) / p.N) / -p.N
+    fx = f(x)
     be = bakry_emery(f, p.N, x)
-    undefined = ~np.isfinite(scale * be)
-    margins = np.where(undefined, -math.inf, scale * (be - p.K))
+    gap = be - p.K
+    # f_N = exp(-f/N) > 0 may overflow to inf: the margin keeps the sign of
+    # be - K there, and is exactly 0 where be == K
+    undefined = ~np.isfinite(be) | np.isnan(fx)
+    margins = np.where(undefined, -math.inf,
+                       np.where(gap == 0, 0.0, np.exp(-fx / p.N) / -p.N * gap))
     note = ""
     if undefined.any():
-        bad = float(x[np.flatnonzero(undefined)[-1]])
+        bad = float(x[np.flatnonzero(undefined)[0]])
         note = f"second derivative undefined at x={bad!r}"
     return CheckReport.from_margins("pointwise", margins, x, tol, note=note)
 

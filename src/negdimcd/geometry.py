@@ -208,21 +208,20 @@ def _third_deriv(u: ScalarFunction1D, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
-                   grid: Sequence[float], tol: float = 1e-8,
-                   h3: float = 1e-3) -> CheckReport:
+                   grid: Sequence[float], tol: float = 1e-8) -> CheckReport:
     """Margin of the dimensional Bochner inequality at each grid point.
 
     margin(x) = L_m(|grad u|^2/2) - <grad L_m u, grad u>
                 - Ric_N(grad u) - (L_m u)^2 / N,
     assembled from the first and second derivatives of u and psi; the third
-    derivative of u uses a fourth-order central stencil of step ``h3``.
+    derivative of u uses a fourth-order central stencil of step 1e-3.
     """
     if not N < 0:
         raise ValueError("N must be negative")
     psi = space.psi
     x = np.asarray(grid, dtype=float)
     up, upp = u.deriv(x), u.deriv2(x)
-    uppp = _third_deriv(u, x, h3)
+    uppp = _third_deriv(u, x, 1e-3)
     pp, ppp = psi.deriv(x), psi.deriv2(x)
     # g = u'^2/2 has g' = u' u'' and g'' = u''^2 + u' u'''
     g1, g2 = up * upp, upp * upp + up * uppp
@@ -285,9 +284,9 @@ def _radial_lambda1(space: WeightedSpace, mesh: int) -> float:
 
 
 def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
-                 tol: float = 1e-3, K: float | None = None,
-                 cert_grid: int = 400) -> EigenResult:
-    """Radial spectral gap versus the bound K*N/(N-1), K = inf Ric_N.
+                 tol: float = 1e-3) -> EigenResult:
+    """Radial spectral gap versus the bound K*N/(N-1), K = inf Ric_N over 400
+    evenly spaced points of the interval less 1e-6 of its length at each end.
 
     Only the radial spectrum is computed; for a nontrivial weight this is not
     claimed to be the full gap (the result says so in its note).  A weighted
@@ -299,8 +298,7 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
         raise ValueError("N must be negative")
     lo, hi = space.interval
     pad = (hi - lo) * 1e-6
-    if K is None:
-        K = min_ricci_n(space, N, np.linspace(lo + pad, hi - pad, cert_grid)).K
+    K = min_ricci_n(space, N, np.linspace(lo + pad, hi - pad, 400)).K
     lam_half = _radial_lambda1(space, mesh_size // 2)
     lam = _radial_lambda1(space, mesh_size)
     notes = []

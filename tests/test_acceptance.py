@@ -179,7 +179,7 @@ def test_08_transport_oracles():
     gl = nd.gaussian_line(1.0)
     ent_err = abs(nd.relative_entropy(g1, gl) - 0.5)
     fi_err = abs(nd.fisher_information(g1, gl) - 1.0)
-    path = nd.GeodesicPath(g0, g1, nd.transport_map(g0, g1))
+    path = nd.GeodesicPath(g0, g1)
     xs, _ = g0.interior_nodes(512, 4)
     ma = 0.0
     for t in (0.25, 0.5, 0.75):
@@ -225,7 +225,7 @@ def test_10_cd_suite():
     cd = nd.check_cd(space, mu0, mu1, 0.0, N, ts)
     bm = nd.brunn_minkowski(space, (1.0, 2.0), (2.0, 4.0), 0.5, 0.0, N)
     # tau <= sigma at every coefficient evaluated by the CD run
-    plan = nd.transport_map(mu0, mu1)
+    plan = nd.GeodesicPath(mu0, mu1)
     xs, _ = mu0.interior_nodes(512, 4)
     thetas = np.abs(np.asarray(plan.map(xs)) - xs)
     tau_le_sigma = True

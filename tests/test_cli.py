@@ -1,6 +1,8 @@
 """Command-line front end: suites, certify, merge, determinism."""
 
 import csv
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +25,28 @@ def read_records(out_dir):
     with open(out_dir / "records.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_cli(*args):
+    """The CLI in a fresh interpreter, so stderr shows what a user sees."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "negdimcd.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+OVERFLOW_CERTIFY_CFG = """
+[certify]
+N = -0.25
+grid = 2
+
+[function]
+expr = cosh(x)
+domain = 1.0 6.0
+"""
 
 
 CONVEXITY_CFG = """
@@ -195,12 +219,7 @@ domain = -3 3
 K = -1e14
 N = -1
 """)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "negdimcd.cli", "run", cfg,
-                               "--out-dir", str(tmp_path / "o")],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: no segment length")
 
@@ -295,6 +314,57 @@ domain = -1 1
             "certify/pointwise,N=-10.0;K=1.0,0.0,true\n"
             "certify/pointwise,N=-2.0;K=1.0,0.0,true\n")
 
+    def test_overflowed_f_n_certifies_its_own_k(self, tmp_path):
+        # exp(cosh(6)/0.25) overflows; f'' - f'^2/N is finite and above K there
+        cfg = write_cfg(tmp_path / "o.cfg", OVERFLOW_CERTIFY_CFG)
+        with np.errstate(over="ignore"):
+            assert main(["certify", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "records.csv").read_text(encoding="utf-8") == (
+            "check_id,params,worst_margin,pass\n"
+            "certify/pointwise,N=-0.25;K=7.06755043059214,0.0,true\n")
+
+
+class TestQuietStderr:
+    def test_nan_expression_run(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", CONVEXITY_CFG.replace(
+            "kind = c", "expr = (2 - 3)**0.5 + x**2\ndomain = -1 1"))
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+
+    def test_overflowing_certify(self, tmp_path):
+        cfg = write_cfg(tmp_path / "o.cfg", OVERFLOW_CERTIFY_CFG)
+        proc = run_cli("certify", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """perfbench/workloads.py, for its record reader and comparison."""
+    name = "perfbench_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.cfg")))
+def test_shipped_config_matches_its_reference_records(config, tmp_path, workloads):
+    # deleting code must not change a record: each shipped config, at its
+    # own seed, against the references the benchmark checks
+    ref = json.loads((ROOT / "perfbench" / "cli_references.json").read_text())[config]
+    command = "certify" if config.startswith("certify-") else "run"
+    code = main([command, str(ROOT / "configs" / config), "--out-dir", str(tmp_path)])
+    assert code == ref["exit_code"]
+    rows = workloads.read_records(tmp_path / "records.csv")
+    assert rows[0] == ["check_id", "params", "worst_margin", "pass"]
+    assert workloads.compare_records(rows[1:], ref["rows"]) is None
+
 
 class TestMerge:
     def _mk(self, path, rows):
@@ -363,7 +433,7 @@ domain = -1 1
         assert [r[2:] for r in rows] == [["-inf", "false"]]
 
     def test_nonfinite_density_mass_is_an_error_line(self, tmp_path, capsys):
-        # pdf(0) = inf makes the Simpson mass NaN
+        # pdf(0) = inf would make the Simpson mass NaN; the node is named
         cfg = write_cfg(tmp_path / "m.cfg", """
 [run]
 suite = transport
@@ -386,7 +456,32 @@ checks = cd jacobian
 """)
         with np.errstate(divide="ignore", invalid="ignore"):
             assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: density mass nan is not finite\n"
+        assert capsys.readouterr().err == "error: pdf inf is not finite at x=0.0\n"
+
+    def test_endpoint_singularity_is_an_error_line(self, tmp_path):
+        cfg = write_cfg(tmp_path / "s.cfg", """
+[run]
+suite = transport
+
+[space]
+kind = gaussian
+
+[mu0]
+kind = expr
+expr = 1/sqrt(x)
+support = 0 1
+
+[mu1]
+kind = gaussian
+
+[params]
+K = 1
+N = -2
+checks = entropic
+""")
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: pdf inf is not finite at x=0.0\n"
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         import os

@@ -114,6 +114,30 @@ class TestPointwise:
         assert rep.worst_location == 1.0
         assert "undefined" in rep.note
 
+    def test_undefined_note_names_the_first_point(self):
+        bad = ScalarFunction1D(fn=lambda x: np.asarray(x, dtype=float),
+                               d1=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                               d2=lambda x: np.where(np.asarray(x) >= 1.0, np.nan, 0.0))
+        rep = check_pointwise(bad, ConvexityParams(0.0, -2.0, (0.5, 2.0)),
+                              [0.8, 1.0, 1.5])
+        assert rep.worst_location == 1.0
+        assert rep.note == "second derivative undefined at x=1.0"
+
+    def test_overflowed_f_n_keeps_the_sign_of_the_margin(self):
+        # f_N = exp(4 cosh x) overflows at x = 6, where f'' - f'^2/N is finite
+        f = ScalarFunction1D(fn=np.cosh, d1=np.sinh, d2=np.cosh)
+        N, grid = -0.25, np.array([1.0, 6.0])
+        be = np.cosh(grid) + np.sinh(grid) ** 2 / 0.25
+        with np.errstate(over="ignore", invalid="ignore"):
+            below = check_pointwise(f, ConvexityParams(float(be[0]), N, (1.0, 6.0)), grid)
+            above = check_pointwise(f, ConvexityParams(float(be[1]) + 1.0, N, (1.0, 6.0)),
+                                    grid)
+            at = check_pointwise(f, ConvexityParams(float(be[1]), N, (1.0, 6.0)), grid)
+        assert below.passed and below.worst_margin == 0.0 and below.note == ""
+        assert not above.passed and above.worst_margin == -math.inf
+        assert above.worst_location == 6.0 and above.note == ""
+        assert at.worst_location == 1.0 and at.worst_margin < 0.0
+
 
 class TestDerivativeCriterion:
     def test_log_segment_margin(self):

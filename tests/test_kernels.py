@@ -1,8 +1,9 @@
 """Array checkers against per-point reference loops.
 
 The loops below evaluate one grid point (direction, margin) at a time with
-scalar calls, the way the checkers did before they became array
-expressions; the array versions must agree with them to round-off.
+scalar calls, or one interpolation time at a time for the transport checks,
+the way the checkers did before they became array expressions; the array
+versions must agree with them to round-off.
 """
 
 import math
@@ -18,19 +19,28 @@ from hypothesis import strategies as st
 from negdimcd import (
     CheckReport,
     ConvexityParams,
+    GeodesicPath,
     RotSphere,
     ScalarFunction1D,
     WeightedLine,
     bochner_margin,
+    check_cd,
+    check_entropic_cd,
     check_pointwise,
     example_function,
     exp_transform,
+    gaussian_density,
     gaussian_line,
     interior_grid,
     min_ricci_n,
     power_weight_line,
     product_direction_check,
+    relative_entropy,
     ricci_n,
+    sigma,
+    tau,
+    uniform_density,
+    w2,
 )
 from negdimcd.cli import main
 from negdimcd.expr import compile_expr
@@ -143,6 +153,61 @@ def product_loop(psi1, psi2, N1, N2, xs, ys, n_directions):
                 ric = h1 * ca * ca + h2 * sa * sa - grad_correction(p1 * ca + p2 * sa,
                                                                     N - 2.0)
                 margins.append(ric - r1 * ca * ca - r2 * sa * sa)
+    return margins
+
+
+def transport_terms(space, mu0, mu1):
+    """Source nodes, their mu0-weights, T, T', and d(mu)/dm of both ends."""
+    path = GeodesicPath(mu0, mu1)
+    xs, wts = mu0.interior_nodes(512, 4)
+    Tx, dTx = np.asarray(path.map(xs)), np.asarray(path.d_map(xs))
+    psi = lambda y: np.asarray(space.psi(y), dtype=float)
+    rho0 = np.maximum(np.asarray(mu0.pdf(xs)) * np.exp(psi(xs)), 1e-300)
+    rho1 = np.maximum(np.asarray(mu1.pdf(Tx)) * np.exp(psi(Tx)), 1e-300)
+    return xs, wts * np.asarray(mu0.pdf(xs)), Tx, dTx, psi, rho0, rho1
+
+
+def weighted_jacobian_loop(psi, xs, Tx, dTx, t):
+    return np.exp(psi(xs) - psi((1.0 - t) * xs + t * Tx)) * ((1.0 - t) + t * dTx)
+
+
+def cd_loop(space, mu0, mu1, K, N, t_grid, n_primes, mode):
+    """check_cd's margins, one (N', t) at a time."""
+    xs, meas, Tx, dTx, psi, rho0, rho1 = transport_terms(space, mu0, mu1)
+    theta = np.abs(Tx - xs)
+    margins, locations = [], []
+    for npr in n_primes:
+        for t in t_grid:
+            if mode == "CD":
+                c0, c1 = tau(K, npr, 1.0 - t, theta), tau(K, npr, t, theta)
+            else:
+                c0, c1 = sigma(K / npr, 1.0 - t, theta), sigma(K / npr, t, theta)
+            locations.append((t, npr))
+            if np.isinf(c0).any() or np.isinf(c1).any():
+                margins.append(math.inf)
+                continue
+            lhs = np.sum(meas * (c0 * np.exp(-np.log(rho0) / npr)
+                                 + c1 * np.exp(-np.log(rho1) / npr)))
+            jac = weighted_jacobian_loop(psi, xs, Tx, dTx, t)
+            margins.append(float(lhs - np.sum(meas * np.exp(np.log(jac / rho0) / npr))))
+    return margins, locations
+
+
+def entropic_loop(space, mu0, mu1, K, N, t_grid):
+    """check_entropic_cd's margins, one t at a time."""
+    xs, meas, Tx, dTx, psi, _, _ = transport_terms(space, mu0, mu1)
+    W = w2(mu0, mu1)
+    ent0, ent1 = relative_entropy(mu0, space), relative_entropy(mu1, space)
+    margins = []
+    for t in t_grid:
+        w0, w1 = sigma(K / N, 1.0 - t, W), sigma(K / N, t, W)
+        if math.isinf(w0) or math.isinf(w1):
+            margins.append(math.inf)
+            continue
+        ent_t = ent0 - float(np.sum(meas * np.log(weighted_jacobian_loop(psi, xs, Tx,
+                                                                         dTx, t))))
+        margins.append(w0 * math.exp(-ent0 / N) + w1 * math.exp(-ent1 / N)
+                       - math.exp(-ent_t / N))
     return margins
 
 
@@ -292,6 +357,51 @@ class TestArraysMatchLoops:
         angles = np.linspace(0.0, math.pi / 2.0, 17)
         assert_worst_location(rep, want, [(float(x), float(y), float(a))
                                           for x in xs for y in ys for a in angles])
+
+
+# (mu0, mu1) pairs; the last one is long enough that the K < 0 coefficients
+# run out of domain for some N' and not for others
+GAUSSIAN_PAIRS = [((0.0, 1.0), (1.0, 1.0)), ((-0.5, 0.8), (0.7, 1.3)),
+                  ((0.3, 1.2), (-4.0, 0.6))]
+
+
+class TestTransportMatchesTimeLoops:
+    T_GRID = [0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98]
+
+    @pytest.mark.parametrize("pair", GAUSSIAN_PAIRS)
+    @pytest.mark.parametrize("K,N", [(0.5, -2.0), (-0.3, -3.0), (-0.4, -3.0),
+                                     (8.0, -1.2)])
+    @pytest.mark.parametrize("mode", ["CD", "CDstar"])
+    def test_check_cd(self, pair, K, N, mode):
+        mu0, mu1 = (gaussian_density(*p, quad_nodes=4096) for p in pair)
+        primes = [N, 0.6 * N, 0.3 * N]
+        rep = check_cd(gaussian_line(1.0), mu0, mu1, K, N, self.T_GRID,
+                       n_prime_list=primes, mode=mode)
+        margins, locations = cd_loop(gaussian_line(1.0), mu0, mu1, K, N, self.T_GRID,
+                                     primes, mode)
+        assert rep.n_evaluations == len(margins)
+        assert_close([rep.worst_margin], [min(margins)])
+        if rep.status != "trivial":
+            assert_worst_location(rep, margins, locations)
+
+    @pytest.mark.parametrize("mode", ["CD", "CDstar"])
+    def test_check_cd_power_line(self, mode):
+        space = power_weight_line(-3.0, 0.5, 8.0)
+        mu0, mu1 = uniform_density(1.0, 2.0), uniform_density(3.0, 5.0)
+        rep = check_cd(space, mu0, mu1, 0.0, -2.0, self.T_GRID, mode=mode)
+        margins, locations = cd_loop(space, mu0, mu1, 0.0, -2.0, self.T_GRID, [-2.0],
+                                     mode)
+        assert_close([rep.worst_margin], [min(margins)])
+
+    @pytest.mark.parametrize("pair", GAUSSIAN_PAIRS)
+    @pytest.mark.parametrize("K,N", [(0.5, -2.0), (1.0, -4.0), (-20.0, -1.1)])
+    def test_check_entropic_cd(self, pair, K, N):
+        mu0, mu1 = (gaussian_density(*p, quad_nodes=4096) for p in pair)
+        rep = check_entropic_cd(gaussian_line(1.0), mu0, mu1, K, N, self.T_GRID)
+        margins = entropic_loop(gaussian_line(1.0), mu0, mu1, K, N, self.T_GRID)
+        assert_close([rep.worst_margin], [min(margins)])
+        if rep.status != "trivial":
+            assert_worst_location(rep, margins, self.T_GRID)
 
 
 # ---------------------------------------------------------------------------
