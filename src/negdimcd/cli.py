@@ -93,8 +93,8 @@ def _load_config(path: str) -> configparser.ConfigParser:
 
 def _negative_n(raw: str, key: str) -> float:
     value = float(raw)
-    if not value < 0:
-        raise ConfigError(f"{key}: N must be negative, got {value!r}")
+    if not -math.inf < value < 0:
+        raise ConfigError(f"{key}: N must be negative and finite, got {value!r}")
     return value
 
 
@@ -253,19 +253,19 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     N = _negative_n(_get(cfg, "params", "N", required=True), "[params] N")
     space = _space_from(cfg, "space")
     grid_n = int(_get(cfg, "params", "grid", "400"))
-    lo, hi = space.interval
-    pad = (hi - lo) * 1e-3
-    grid = np.linspace(lo + pad, hi - pad, grid_n)
-    cert = geometry.min_ricci_n(space, N, grid)
+    cert = geometry.min_ricci_n(space, N,
+                                convexity.interior_grid(space.interval, grid_n, 1e-3))
     records = [Record("geometry/min-ricci", f"N={N};grid={grid_n}", cert.K, True)]
     u_expr = _get(cfg, "params", "u", "x")
     var = "theta" if isinstance(space, geometry.RotSphere) else "x"
     u = compile_expr(u_expr, var=var)
-    rep = geometry.bochner_margin(space, u, N, np.linspace(lo + pad, hi - pad, 64),
+    rep = geometry.bochner_margin(space, u, N,
+                                  convexity.interior_grid(space.interval, 64, 1e-3),
                                   tol=1e-8 if tol is None else tol)
     records.append(_record("geometry", rep, N=N, u=u_expr))
     mesh = int(_get(cfg, "params", "mesh", "2000"))
-    eig = geometry.lichnerowicz(space, N, mesh_size=mesh)
+    eig = geometry.lichnerowicz(space, N, mesh_size=mesh,
+                                **({} if tol is None else {"tol": tol}))
     records.append(Record("geometry/spectral-gap",
                           f"N={N};mesh={mesh};lambda1={eig.lambda1!r};bound={eig.bound!r}",
                           eig.lambda1 - eig.bound, eig.passed))

@@ -32,46 +32,50 @@ def _c_series(kappa, theta):
     return 1.0 - u / 2.0 * (1.0 - u / 12.0 * (1.0 - u / 30.0))
 
 
+def _comparison(kappa, theta, sine: bool):
+    """s (sine) or c by the series, sin (kappa > 0) or sinh (kappa < 0) branch."""
+    kappa = np.asarray(kappa, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(theta < 0):
+        raise ValueError("theta must be nonnegative")
+    kappa, theta = np.broadcast_arrays(kappa, theta)
+    out = np.empty(kappa.shape, dtype=float)
+    u = np.abs(kappa) * theta * theta
+    small = u <= SERIES_THRESHOLD
+    pos = (kappa > 0) & ~small
+    neg = (kappa < 0) & ~small
+    series = _s_series if sine else _c_series
+    out[small] = series(kappa[small], theta[small])
+    rt = np.sqrt(kappa[pos])
+    out[pos] = np.sin(rt * theta[pos]) / rt if sine else np.cos(rt * theta[pos])
+    rt = np.sqrt(-kappa[neg])
+    out[neg] = np.sinh(rt * theta[neg]) / rt if sine else np.cosh(rt * theta[neg])
+    return float(out) if out.ndim == 0 else out
+
+
 def s(kappa, theta):
     """sin-like solution: sin(sqrt(k)x)/sqrt(k), x, or sinh(sqrt(-k)x)/sqrt(-k).
 
     Continuous in ``kappa`` through 0 (series branch for |kappa|*theta^2 small).
     Requires theta >= 0.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
-    kappa, theta = np.broadcast_arrays(kappa, theta)
-    out = np.empty(kappa.shape, dtype=float)
-    u = np.abs(kappa) * theta * theta
-    small = u <= SERIES_THRESHOLD
-    pos = (kappa > 0) & ~small
-    neg = (kappa < 0) & ~small
-    out[small] = _s_series(kappa[small], theta[small])
-    rt = np.sqrt(kappa[pos])
-    out[pos] = np.sin(rt * theta[pos]) / rt
-    rt = np.sqrt(-kappa[neg])
-    out[neg] = np.sinh(rt * theta[neg]) / rt
-    return float(out) if out.ndim == 0 else out
+    return _comparison(kappa, theta, True)
 
 
 def c(kappa, theta):
     """cos-like solution: cos(sqrt(k)x), 1, or cosh(sqrt(-k)x).  c(kappa,0)=1."""
-    kappa = np.asarray(kappa, dtype=float)
+    return _comparison(kappa, theta, False)
+
+
+def _t_and_theta(t, theta):
+    """t in [0, 1] and theta >= 0 as float arrays."""
+    t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    if np.any((t < 0) | (t > 1)):
+        raise ValueError("t must lie in [0, 1]")
     if np.any(theta < 0):
         raise ValueError("theta must be nonnegative")
-    kappa, theta = np.broadcast_arrays(kappa, theta)
-    out = np.empty(kappa.shape, dtype=float)
-    u = np.abs(kappa) * theta * theta
-    small = u <= SERIES_THRESHOLD
-    pos = (kappa > 0) & ~small
-    neg = (kappa < 0) & ~small
-    out[small] = _c_series(kappa[small], theta[small])
-    out[pos] = np.cos(np.sqrt(kappa[pos]) * theta[pos])
-    out[neg] = np.cosh(np.sqrt(-kappa[neg]) * theta[neg])
-    return float(out) if out.ndim == 0 else out
+    return t, theta
 
 
 def sigma(kappa, t, theta):
@@ -81,12 +85,7 @@ def sigma(kappa, t, theta):
     theta >= pi/sqrt(kappa) (out of the domain of the ratio).
     """
     kappa = np.asarray(kappa, dtype=float)
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any((t < 0) | (t > 1)):
-        raise ValueError("t must lie in [0, 1]")
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
+    t, theta = _t_and_theta(t, theta)
     kappa, t, theta = np.broadcast_arrays(kappa, t, theta)
     out = np.empty(kappa.shape, dtype=float)
     zero = theta == 0
@@ -113,12 +112,7 @@ def tau(K, N, t, theta):
     if not N < 0:
         raise ValueError("N must be negative")
     K = np.asarray(K, dtype=float)
-    t = np.asarray(t, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any((t < 0) | (t > 1)):
-        raise ValueError("t must lie in [0, 1]")
-    if np.any(theta < 0):
-        raise ValueError("theta must be nonnegative")
+    t, theta = _t_and_theta(t, theta)
     K, t, theta = np.broadcast_arrays(K, t, theta)
     out = np.empty(K.shape, dtype=float)
     zero = t == 0

@@ -49,8 +49,8 @@ class ConvexityParams:
     domain: Tuple[float, float]
 
     def __post_init__(self):
-        if not self.N < 0:
-            raise ValueError("N must be negative")
+        if not -math.inf < self.N < 0:
+            raise ValueError("N must be negative and finite")
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError("domain must be a nonempty open interval")

@@ -157,7 +157,9 @@ def _diff(node, var: str):
     if op is ast.Mult:
         return _add(_mul(du, v), _mul(u, dv))
     if op is ast.Div:
-        return _sub(_div(du, v), _div(_mul(u, dv), _pow(v, _TWO)))
+        # 0/v stays where v varies: it is NaN wherever u/v is 0/0
+        first = _div(du, v) if _is(dv, 0) else ast.BinOp(du, ast.Div(), v)
+        return _sub(first, _div(_mul(u, dv), _pow(v, _TWO)))
     if _is(dv, 0):
         # constant exponent: v u**(v - 1) u'
         v1 = ast.Constant(v.value - 1) if isinstance(v, ast.Constant) else _sub(v, _ONE)

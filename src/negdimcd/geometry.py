@@ -16,7 +16,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .convexity import bakry_emery
+from .convexity import bakry_emery, interior_grid
 from .functions import ScalarFunction1D
 from .report import CheckReport
 
@@ -264,18 +264,13 @@ def _radial_lambda1(space: WeightedSpace, mesh: int) -> float:
     h = (hi - lo) / mesh
     centers = lo + (np.arange(mesh) + 0.5) * h
     faces = lo + np.arange(mesh + 1) * h
-    psi_c = np.asarray(space.psi(centers), dtype=float)
-    psi_f = np.asarray(space.psi(faces), dtype=float)
+    w_c = np.exp(-np.asarray(space.psi(centers), dtype=float))
+    w_f = np.exp(-np.asarray(space.psi(faces), dtype=float))
     if isinstance(space, RotSphere):
-        w_c = np.sin(centers) * np.exp(-psi_c)
-        w_f = np.sin(faces) * np.exp(-psi_f)
-        w_f[0] = 0.0
-        w_f[-1] = 0.0
-    else:
-        w_c = np.exp(-psi_c)
-        w_f = np.exp(-psi_f)
-        w_f[0] = 0.0   # zero-flux (Neumann) truncation
-        w_f[-1] = 0.0
+        w_c = np.sin(centers) * w_c
+        w_f = np.sin(faces) * w_f
+    # the poles of the sphere; a zero-flux (Neumann) truncation of a line
+    w_f[0] = w_f[-1] = 0.0
     diag = (w_f[:-1] + w_f[1:]) / (w_c * h * h)
     off = -w_f[1:-1] / (h * h * np.sqrt(w_c[:-1] * w_c[1:]))
     vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1),
@@ -296,23 +291,21 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
     """
     if not N < 0:
         raise ValueError("N must be negative")
-    lo, hi = space.interval
-    pad = (hi - lo) * 1e-6
-    K = min_ricci_n(space, N, np.linspace(lo + pad, hi - pad, 400)).K
+    K = min_ricci_n(space, N, interior_grid(space.interval, 400)).K
     lam_half = _radial_lambda1(space, mesh_size // 2)
     lam = _radial_lambda1(space, mesh_size)
     notes = []
     if isinstance(space, WeightedLine):
         notes.append("advisory: noncompact weighted line (truncated Neumann problem)")
     else:
-        probe = np.linspace(lo + (hi - lo) * 0.1, hi - (hi - lo) * 0.1, 7)
+        probe = interior_grid(space.interval, 7, 0.1)
         if np.max(np.abs(space.psi.deriv(probe))) > 1e-12:
             notes.append("radial spectrum only; not claimed to be the full gap")
+    bound = K * N / (N - 1.0)
     if abs(lam - lam_half) > tol:
         notes.append(f"mesh too coarse: lambda1 shifted by {abs(lam - lam_half)!r}")
-        return EigenResult(lambda1=lam, bound=K * N / (N - 1.0), passed=False,
+        return EigenResult(lambda1=lam, bound=bound, passed=False,
                            K=K, status="inconclusive", note="; ".join(notes))
-    bound = K * N / (N - 1.0)
     if K <= 0:
         notes.append("K <= 0: bound vacuous")
         return EigenResult(lambda1=lam, bound=bound, passed=True, K=K,

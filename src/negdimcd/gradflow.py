@@ -79,8 +79,8 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
                    grad_cap: float = 1e8) -> GradientCurve:
     """Integrate the descent flow of f from x0 over [0, horizon].
 
-    Classical RK4 with fixed step.  Near a domain boundary the step is
-    retried with halved substeps and finally projected onto the boundary.
+    Classical RK4 with fixed step.  A step that leaves the domain is retried
+    as 2, 4, ..., 4096 substeps, and projected when every split leaves too.
     A gradient magnitude above ``grad_cap`` truncates the curve and leaves a
     diagnostic in the note.
     """
@@ -112,23 +112,17 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
             break
         nxt = rk4(x, step)
         if not inside(nxt):
-            # substep toward the boundary, then project
-            sub = 2
-            while sub <= 1 << 12:
+            # the first split into 2, 4, ..., 4096 substeps that stays inside
+            for sub in (2**k for k in range(1, 13)):
                 y = x
-                ok = True
                 for _ in range(sub):
                     y = rk4(y, step / sub)
                     if not inside(y):
-                        ok = False
                         break
-                if ok:
+                else:
                     nxt = y
                     break
-                sub *= 2
-            else:
-                nxt = min(max(rk4(x, step), domain[0]), domain[1])
-            if not inside(nxt):
+            else:   # every split leaves: project the full step
                 nxt = min(max(nxt, domain[0]), domain[1])
         x = nxt
         xs.append(x)
@@ -178,12 +172,15 @@ def _check_radius(dists: np.ndarray, K: float, N: float) -> None:
                 f"distance to the reference point reaches pi*sqrt(N/K)={limit!r}")
 
 
-def _sq_dist_halves(dists: np.ndarray, K: float, N: float) -> np.ndarray:
+def _sq_dist_halves(dists, K: float, N: float):
+    """s_{K/N}(d/2)^2 at a distance or an array of distances."""
     return np.asarray(s(K / N, dists / 2.0), dtype=float) ** 2
 
 
-def _evi_margins(curve, values_rhs, S, signs, tol, name, extra_note=""):
-    """Shared reduction: margin_i = rhs_i - dS/dt_i - penalty_i."""
+def _evi_margins(curve, f, z, values_rhs, S, tol, name):
+    """Shared reduction: margin_i = rhs_i - dS/dt_i, at tol + 5*step*max|f'|."""
+    allowance = 5.0 * curve.step * float(np.max(local_slope(f, curve.points)))
+    signs = np.sign(curve.points - z)
     t = curve.times
     dplus = (S[2:] - S[1:-1]) / (t[2:] - t[1:-1])
     dminus = (S[1:-1] - S[:-2]) / (t[1:-1] - t[:-2])
@@ -193,9 +190,10 @@ def _evi_margins(curve, values_rhs, S, signs, tol, name, extra_note=""):
                   (S[2:] - S[:-2]) / (t[2:] - t[:-2]))
     margins = values_rhs[1:-1] - dS
     times = t[1:-1]
-    return CheckReport.from_margins(name, margins, times, tol, note=extra_note,
-                                    details={"times": times.tolist(),
-                                             "margins": margins.tolist()})
+    return CheckReport.from_margins(
+        name, margins, times, tol + allowance,
+        note=f"discretization allowance {allowance!r} added to tolerance",
+        details={"times": times.tolist(), "margins": margins.tolist()})
 
 
 def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
@@ -217,10 +215,7 @@ def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
     S = _sq_dist_halves(dists, K, N)
     ratio = float(fN(z)) / np.asarray(fN(curve.points), dtype=float)
     rhs = (N / 2.0) * (1.0 - ratio) - K * S
-    allowance = 5.0 * curve.step * float(np.max(local_slope(f, curve.points)))
-    note = f"discretization allowance {allowance!r} added to tolerance"
-    return _evi_margins(curve, rhs, S, np.sign(curve.points - z),
-                        tol + allowance, "evi", note)
+    return _evi_margins(curve, f, z, rhs, S, tol, "evi")
 
 
 def verify_evi_classical(curve: GradientCurve, f: ScalarFunction1D, K: float,
@@ -231,10 +226,7 @@ def verify_evi_classical(curve: GradientCurve, f: ScalarFunction1D, K: float,
     S = dists**2 / 4.0
     vals = np.asarray(f(curve.points), dtype=float)
     rhs = 0.5 * (float(f(z)) - vals) - K * S
-    allowance = 5.0 * curve.step * float(np.max(local_slope(f, curve.points)))
-    return _evi_margins(curve, rhs, S, np.sign(curve.points - z),
-                        tol + allowance, "evi-classical",
-                        f"discretization allowance {allowance!r} added to tolerance")
+    return _evi_margins(curve, f, z, rhs, S, tol, "evi-classical")
 
 
 def _expm1_over(K: float, dt: float) -> float:
@@ -261,8 +253,8 @@ def verify_evi_integrated(curve: GradientCurve, f: ScalarFunction1D, K: float,
     fN = exp_transform(f, N)
     dists = np.abs(curve.points[i0:i1 + 1] - z)
     _check_radius(dists, K, N)
-    S0 = float(_sq_dist_halves(np.array([abs(curve.points[i0] - z)]), K, N)[0])
-    S1 = float(_sq_dist_halves(np.array([abs(curve.points[i1] - z)]), K, N)[0])
+    S0 = _sq_dist_halves(abs(curve.points[i0] - z), K, N)
+    S1 = _sq_dist_halves(abs(curve.points[i1] - z), K, N)
     dt = curve.times[i1] - curve.times[i0]
     ratio = float(fN(z)) / float(fN(curve.points[i1]))
     margin = (N * _expm1_over(K, dt) / 2.0 * (1.0 - ratio)
@@ -294,7 +286,7 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
         i = curve.index_at(t)
         dists = np.abs(curve.points[: i + 1] - z)
         _check_radius(dists, K, N)
-        S0 = float(_sq_dist_halves(np.array([abs(curve.points[0] - z)]), K, N)[0])
+        S0 = _sq_dist_halves(abs(curve.points[0] - z), K, N)
         lhs = float(fN(z)) / float(fN(curve.points[i]))
         rhs = 1.0 + 2.0 / (N * _expm1_over(K, float(curve.times[i]))) * S0
         return CheckReport.from_margins("regularizing", [lhs - rhs], [(z, t)], tol)
@@ -304,20 +296,12 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
         i0, i1 = curve.index_at(t0), curve.index_at(t1)
         dists = np.abs(curve.points[i0:i1 + 1] - curve.points[i0])
         _check_radius(dists, K, N)
-        S = float(_sq_dist_halves(
-            np.array([abs(curve.points[i1] - curve.points[i0])]), K, N)[0])
+        S = _sq_dist_halves(abs(curve.points[i1] - curve.points[i0]), K, N)
         inf_fN = math.exp(-inf_f / N)
         rhs = (N * (-_expm1_over(K, t0 - t1)) / 2.0
                * (1.0 - float(fN(curve.points[i0])) / inf_fN))
         return CheckReport.from_margins("continuity", [rhs - S], [(t0, t1)], tol)
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _exp_ratio(theta: float) -> float:
-    """(exp(theta) - 1)/theta, read as 1 at theta = 0."""
-    if theta == 0.0:
-        return 1.0
-    return math.expm1(theta) / theta
 
 
 def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
@@ -351,7 +335,7 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
     theta = (2.0 * K + 4.0 * L * L / N) * (t1 + math.sqrt(t1 * t0) + t0) / 3.0
     d0 = abs(x - y)
     rhs = 2.0 * math.exp(-theta) * (
-        d0 * d0 / 2.0 - N * (math.sqrt(t1) - math.sqrt(t0)) ** 2 * _exp_ratio(theta))
+        d0 * d0 / 2.0 - N * (math.sqrt(t1) - math.sqrt(t0)) ** 2 * _expm1_over(theta, 1.0))
     dist = abs(xi.points[xi.index_at(t0)] - zeta.points[zeta.index_at(t1)])
     return CheckReport.from_margins("expansion", [rhs - dist * dist],
                                     [(t0, t1)], tol)

@@ -71,9 +71,3 @@ class CheckReport:
         return cls(name=name, passed=True, worst_margin=math.inf,
                    worst_location=None, n_evaluations=0, tolerance=tolerance,
                    status="vacuous", note=note)
-
-    @classmethod
-    def inconclusive(cls, name: str, tolerance: float, note: str) -> "CheckReport":
-        return cls(name=name, passed=False, worst_margin=math.nan,
-                   worst_location=None, n_evaluations=0, tolerance=tolerance,
-                   status="inconclusive", note=note)

@@ -23,6 +23,7 @@ from scipy.integrate import cumulative_simpson
 from .comparison import c as comp_c
 from .comparison import s as comp_s
 from .comparison import sigma, tau
+from .convexity import interior_grid
 from .geometry import WeightedLine
 from .quadrature import QuadratureError, gl_nodes, integrate
 from .report import CheckReport
@@ -370,9 +371,7 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
     if not N < 0:
         raise ValueError("N must be negative")
     path = GeodesicPath(mu0, mu1)
-    a, b = mu0.support
-    pad = (b - a) * 1e-6
-    xs = np.linspace(a + pad, b - pad, 64)
+    xs = interior_grid(mu0.support, 64)
     if np.any(path.d_map(xs) <= 0):
         raise ValueError("monotonicity violated: nonpositive map derivative")
     theta = np.abs(np.asarray(path.map(xs), dtype=float) - xs)

@@ -167,6 +167,17 @@ mesh = 800
         want = np.min(4.0 * np.cos(np.linspace(pad, np.pi - pad, 64)) ** 2)
         assert float(by_id["geometry/bochner"][2]) == pytest.approx(want, rel=1e-12)
 
+    def test_tol_reaches_the_spectral_gap(self, tmp_path):
+        # lambda1 shifts by 3.1e-6 when the mesh of 2000 cells is halved,
+        # which is inconclusive at a tolerance of 1e-12
+        cfg = str(ROOT / "configs" / "geometry-sphere.cfg")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), "--tol", "1e-12"]) == 1
+        _, rows = read_records(out)
+        by_id = {r[0]: r for r in rows}
+        assert by_id["geometry/spectral-gap"][3] == "false"
+        assert by_id["geometry/min-ricci"][3] == "true"
+
 
 SQRT_CFG = """
 [run]
@@ -222,6 +233,26 @@ N = -1
         proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: no segment length")
+
+    def test_infinite_n_is_a_config_error(self, tmp_path, capsys):
+        # f_N/|N| = 1/inf = 0 made every margin 0: three true records,
+        # although f'' = -2 < K
+        cfg = write_cfg(tmp_path / "n.cfg", """
+[run]
+suite = convexity
+
+[function]
+expr = -x**2
+domain = -1 1
+
+[params]
+K = 5
+N = -inf
+""")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [params] N: N must be negative and finite, got -inf\n")
+        assert not (tmp_path / "o").exists()
 
     def test_no_pairs_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "p.cfg", CONVEXITY_CFG.replace("pairs = 25", "pairs = 0"))
@@ -305,6 +336,18 @@ domain = -1 1
             kval = float(r[1].split("K=")[1])
             assert abs(kval) <= 1e-5
 
+    def test_infinite_n_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "n.cfg", """
+[certify]
+N = -2 -inf
+
+[function]
+expr = x**2/2
+domain = -3 3
+""")
+        assert main(["certify", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [certify] N: N must be negative and finite, got -inf\n")
 
     def test_shipped_quadratic_config_records(self, tmp_path):
         cfg = Path(__file__).resolve().parents[1] / "configs" / "certify-quadratic.cfg"

@@ -44,6 +44,14 @@ def admissible_pairs(rng, window, limit, count):
     return pairs
 
 
+class TestParams:
+    @pytest.mark.parametrize("N", [-math.inf, math.nan, 0.0, 2.0])
+    def test_n_must_be_finite_and_negative(self, N):
+        # at N = -inf, f_N/|N| = 0 would make every pointwise margin 0
+        with pytest.raises(ValueError, match="N must be negative and finite"):
+            ConvexityParams(5.0, N, (-1.0, 1.0))
+
+
 class TestEqualityExamples:
     @pytest.mark.parametrize("kind,K,N,window", EQUALITY_CASES)
     def test_all_three_criteria_are_tight(self, kind, K, N, window):

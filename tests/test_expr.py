@@ -6,7 +6,7 @@ import operator
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from negdimcd import ConvexityParams, check_pointwise
@@ -98,6 +98,7 @@ def rounding_allowance(values):
 class TestAgainstSympy:
     @settings(max_examples=150, deadline=None)
     @given(expressions, points)
+    @example(("((0 / (x - x)) + x)", sympy.Integer(0) / (X - X) + X), [-1.0])
     def test_value_and_derivatives(self, expression, xs):
         text, sym = expression
         f = compile_expr(text)
@@ -172,6 +173,15 @@ class TestDerivatives:
         # a grid that misses the kink sees the two linear pieces only
         rep = check_pointwise(f, p, np.linspace(-1.0, 1.0, 20))
         assert rep.passed and rep.note == ""
+
+    def test_zero_over_zero_has_nan_derivatives(self):
+        # the quotient rule used to fold 0/(x - x) to 0, so f' read 1 and f'' 0
+        f = compile_expr("0/(x - x) + x")
+        with np.errstate(invalid="ignore"):
+            values = [f(-1.0), f.deriv(-1.0), f.deriv2(-1.0)]
+            arrays = [f(np.array([-1.0, 2.0])), f.deriv(np.array([-1.0, 2.0]))]
+        assert all(math.isnan(v) for v in values)
+        assert all(np.isnan(a).all() for a in arrays)
 
     def test_derivatives_are_built_on_first_use(self, monkeypatch):
         calls = []
