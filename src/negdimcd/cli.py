@@ -224,15 +224,17 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
     del seed  # flow checks are deterministic
     K = float(_get(cfg, "params", "K", required=True))
     N = _negative_n(_get(cfg, "params", "N", required=True), "[params] N")
-    f, _window = _function_from(cfg, "potential", K, N)
+    f, domain = _function_from(cfg, "potential", K, N)
     x0 = float(_get(cfg, "params", "x0", "1.0"))
+    if not domain[0] <= x0 <= domain[1]:
+        raise ConfigError(f"[params] x0 {x0!r} outside the [potential] domain {domain}")
     step = float(_get(cfg, "params", "step", "1e-3"))
     horizon = float(_get(cfg, "params", "horizon", "2.0"))
     zs = _floats(_get(cfg, "params", "z", "0.0"))
     t0 = float(_get(cfg, "params", "t0", "0.1"))
     t1 = float(_get(cfg, "params", "t1", "0.5"))
     tol = 1e-6 if tol is None else tol
-    curve = gradflow.integrate_flow(f, x0, horizon, step)
+    curve = gradflow.integrate_flow(f, x0, horizon, step, domain)
     records = []
     mid = horizon / 2.0
     records.append(_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .convexity import bakry_emery, interior_grid
 from .functions import ScalarFunction1D
@@ -260,6 +259,9 @@ def _radial_lambda1(space: WeightedSpace, mesh: int) -> float:
     vanishes at the sphere poles, which encodes the Neumann-regular endpoint
     condition without ever dividing by w at the ends.
     """
+    # imported here so that only the spectral gap loads scipy
+    from scipy.linalg import eigh_tridiagonal
+
     lo, hi = space.interval
     h = (hi - lo) / mesh
     centers = lo + (np.arange(mesh) + 0.5) * h

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from negdimcd import transport
+from negdimcd import gradflow, transport
 from negdimcd.cli import Record, main
 from negdimcd.quadrature import QuadratureError
 
@@ -30,12 +30,16 @@ def read_records(out_dir):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(*args):
     """The CLI in a fresh interpreter, so stderr shows what a user sees."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "negdimcd.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          capture_output=True, text=True, env=src_env(), timeout=60)
 
 
 OVERFLOW_CERTIFY_CFG = """
@@ -191,6 +195,45 @@ domain = -1 3
 K = 0
 N = -2
 """
+
+
+LOG_FLOW_CFG = """
+[run]
+suite = flow
+
+[potential]
+expr = log(x)
+domain = 0.5 3
+
+[params]
+K = 0
+N = -2
+x0 = 1
+step = 1e-2
+"""
+
+
+class TestFlowDomain:
+    def test_curve_stays_in_the_potential_domain(self, tmp_path, monkeypatch):
+        # without the domain the curve of log(x) from 1 went below 0, to -5.99
+        curves = []
+
+        def integrate_flow(*args, **kwargs):
+            curves.append(real(*args, **kwargs))
+            return curves[-1]
+
+        real = gradflow.integrate_flow
+        monkeypatch.setattr(gradflow, "integrate_flow", integrate_flow)
+        cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG)
+        main(["run", cfg, "--out-dir", str(tmp_path / "o")])
+        (curve,) = curves
+        assert 0.5 <= curve.points.min() and curve.points.max() <= 3.0
+
+    def test_start_outside_the_domain_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG.replace("x0 = 1", "x0 = 4"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [params] x0 4.0 outside the [potential] domain (0.5, 3.0)\n")
 
 
 class TestRecordValues:
@@ -380,6 +423,30 @@ class TestQuietStderr:
         proc = run_cli("certify", cfg, "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+COLD_IMPORT_PROBE = """
+import sys
+import negdimcd.cli as cli
+loaded = [sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]
+for command, config, out in zip(("run", "certify"), sys.argv[1:3], sys.argv[3:5]):
+    assert cli.main([command, config, "--out-dir", out]) == 0
+    loaded.append(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(loaded)
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # only the spectral gap needs scipy; importing the CLI, a transport run
+    # and a certificate must not pay for it
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_IMPORT_PROBE,
+         str(ROOT / "configs" / "transport-gaussian.cfg"),
+         str(ROOT / "configs" / "certify-quadratic.cfg"),
+         str(tmp_path / "run"), str(tmp_path / "certify")],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[[], [], []]"
 
 
 @pytest.fixture(scope="module")

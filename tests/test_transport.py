@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_simpson
 
 from negdimcd import (
     GeodesicPath,
@@ -28,6 +31,7 @@ from negdimcd import (
     w2,
 )
 from negdimcd.quadrature import QuadratureError
+from negdimcd.transport import _simpson_cdf
 
 
 class TestDensity1D:
@@ -68,6 +72,46 @@ class TestDensity1D:
         with np.errstate(divide="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="not finite"):
             Density1D(support=(0.0, 1.0), pdf=lambda x: 0.5 / np.sqrt(x), normalize=True)
+
+
+class TestSimpsonTable:
+    """The cdf table's Simpson rule is scipy's, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(nodes=st.integers(3, 8193),
+           offset=st.floats(-1e6, 1e6),
+           width=st.floats(1e-3, 1e6),
+           zeros=st.floats(0.0, 1.0),
+           log_range=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(nodes=3, offset=0.0, width=1.0, zeros=0.0, log_range=(0.0, 0.0), seed=0)
+    @example(nodes=4, offset=0.0, width=1.0, zeros=0.5, log_range=(-300.0, 300.0), seed=1)
+    @example(nodes=8192, offset=-5.0, width=10.0, zeros=0.1, log_range=(-300.0, 300.0),
+             seed=2)
+    @example(nodes=8193, offset=-5.0, width=10.0, zeros=1.0, log_range=(0.0, 0.0), seed=3)
+    def test_equals_scipy_cumulative_simpson(self, nodes, offset, width, zeros,
+                                             log_range, seed):
+        xs = np.linspace(offset, offset + width, nodes)
+        rng = np.random.default_rng(seed)
+        lo, hi = sorted(log_range)
+        y = 10.0 ** rng.uniform(lo, hi, nodes)
+        y[rng.random(nodes) < zeros] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _simpson_cdf(y, xs)
+            want = cumulative_simpson(y, x=xs, initial=0.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("quad_nodes", [1, 0, -3])
+    def test_fewer_than_two_intervals_rejected(self, quad_nodes):
+        from negdimcd import Density1D
+        with pytest.raises(ValueError, match=f"quad_nodes must be at least 2, got {quad_nodes}"):
+            Density1D(support=(0.0, 1.0), pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                      quad_nodes=quad_nodes)
+
+    def test_support_narrower_than_its_nodes_rejected(self):
+        # linspace repeats nodes here; a 0 interval would divide by zero
+        with pytest.raises(ValueError, match="strictly increasing"):
+            uniform_density(1.0, 1.0 + 1e-13)
 
 
 class TestW2:
