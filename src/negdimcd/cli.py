@@ -1,7 +1,8 @@
 """Batch command-line front end.
 
 Config files are flat key-value INI files (section headers in brackets).
-``negdimcd run`` executes a named check suite and writes a human-readable
+``negdimcd run`` executes a named check suite, or one suite per group of
+``[<group>.<section>]`` sections in file order, and writes a human-readable
 summary plus a machine-readable CSV record file (fixed column order:
 check_id, params, worst_margin, pass).  ``negdimcd certify`` reports, per
 N, the largest K whose pointwise criterion holds on the grid: the grid
@@ -41,7 +42,7 @@ ENV_OUT_DIR = "NEGDIMCD_OUT_DIR"
 
 
 class ConfigError(ValueError):
-    """Config parsing / validation problem; message names the offending key."""
+    """Bad config or record file; the message names the offending key or line."""
 
 
 def _rng(seed: int, label: str) -> np.random.Generator:
@@ -85,7 +86,11 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False) -> s
 def _load_config(path: str) -> configparser.ConfigParser:
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                     interpolation=None)
-    read = cfg.read(path)
+    try:
+        read = cfg.read(path)
+    except configparser.Error as exc:
+        # its messages span lines: one line for the error: prefix
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     return cfg
@@ -318,56 +323,6 @@ def run_transport(cfg, seed: int, tol: float | None) -> list[Record]:
             for check in checks]
 
 
-def _builtin_battery(seed: int, tol: float | None):
-    """Canned deterministic battery across all suites.
-
-    Returns (records, info_lines); info lines carry the outcome of the
-    power-weight cross-check, which is reported but never gates the exit
-    status (it probes a known open discrepancy rather than a claim of the
-    library).
-    """
-    records = []
-    # convexity on the K=0 equality family
-    cfg = configparser.ConfigParser()
-    cfg.read_dict({"function": {"kind": "c"},
-                   "params": {"K": "0", "N": "-2", "pairs": "25"}})
-    records += run_convexity(cfg, seed, tol)
-    # quadratic flow
-    cfg = configparser.ConfigParser()
-    cfg.read_dict({"potential": {"expr": "x**2/2", "domain": "-3 3"},
-                   "params": {"K": "1", "N": "-2", "z": "-1 0 2", "step": "2e-3"}})
-    records += run_flow(cfg, seed, tol)
-    # geometry on the round sphere
-    cfg = configparser.ConfigParser()
-    cfg.read_dict({"space": {"kind": "sphere"},
-                   "params": {"N": "-2", "u": "cos(theta)", "mesh": "1000"}})
-    records += run_geometry(cfg, seed, tol)
-    # transport: gaussian pair and the power-weight model line
-    cfg = configparser.ConfigParser()
-    cfg.read_dict({"space": {"kind": "gaussian"},
-                   "mu0": {"kind": "gaussian", "mean": "1.0"},
-                   "mu1": {"kind": "gaussian", "mean": "0.0"},
-                   "params": {"K": "1", "N": "-2",
-                              "checks": "entropic hwi talagrand logsobolev"}})
-    records += run_transport(cfg, seed, tol)
-    cfg = configparser.ConfigParser()
-    cfg.read_dict({"space": {"kind": "power", "exponent": "-3", "interval": "0.5 8"},
-                   "mu0": {"kind": "uniform", "interval": "1 2"},
-                   "mu1": {"kind": "uniform", "interval": "3 5"},
-                   "params": {"K": "0", "N": "-2", "checks": "cd cdstar jacobian bm",
-                              "A0": "1 2", "A1": "2 4"}})
-    records += run_transport(cfg, seed, tol)
-    # cross-check of the other power-law reading (outcome recorded either way)
-    space = geometry.power_weight_line(-2.0, 0.5, 8.0)
-    rep = transport.check_cd(space, transport.uniform_density(1.0, 2.0),
-                             transport.uniform_density(3.0, 5.0), 0.0, -2.0,
-                             [0.25, 0.5, 0.75], tol=1e-8 if tol is None else tol)
-    info = [f"INFO  cross-check: weight x^N (exponent -2) against CD(0,-2): "
-            f"margin={rep.worst_margin!r} satisfies={str(rep.passed).lower()}; "
-            f"the exponent N-1 run above is the certified model"]
-    return records, info
-
-
 _SUITES = {
     "convexity": run_convexity,
     "flow": run_flow,
@@ -387,15 +342,13 @@ def _write_records(records: Sequence[Record], out_dir: Path) -> Path:
     return path
 
 
-def _write_summary(records: Sequence[Record], out_dir: Path,
-                   info: Sequence[str] = ()) -> Path:
+def _write_summary(records: Sequence[Record], out_dir: Path) -> Path:
     path = out_dir / "summary.txt"
     n_pass = sum(1 for r in records if r.passed)
     lines = []
     for rec in records:
         flag = "PASS" if rec.passed else "FAIL"
         lines.append(f"{flag}  {rec.check_id}  margin={rec.row()[2]}  {rec.params}")
-    lines.extend(info)
     lines.append(f"total: {n_pass}/{len(records)} passed")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -409,23 +362,51 @@ def _resolve_out_dir(cli_value: str | None, cfg) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "negdimcd-out"))
 
 
+def _run_suite(cfg, seed: int, tol: float | None) -> list[Record]:
+    suite = _get(cfg, "run", "suite", required=True)
+    if suite not in _SUITES:
+        raise ConfigError(f"[run] suite={suite!r} not one of {sorted(_SUITES)}")
+    return _SUITES[suite](cfg, seed, tol)
+
+
+def _run_groups(cfg, seed: int, tol: float | None) -> list[Record]:
+    """Each group of [<group>.<section>] sections, read as a config of its own
+    with the prefix stripped, in file order.  The file's [run] holds seed, tol
+    and out_dir for every group and stands alone outside the groups, so no
+    key is silently ignored."""
+    if cfg.has_option("run", "suite"):
+        raise ConfigError("[run] suite: with section groups each group names "
+                          "its suite in [<group>.run]")
+    groups = {}
+    for name in cfg.sections():
+        group, dot, section = name.partition(".")
+        if dot:
+            groups.setdefault(group, configparser.ConfigParser(
+                interpolation=None)).read_dict({section: cfg[name]})
+        elif name != "run":
+            raise ConfigError(f"[{name}] is outside every group")
+    records = []
+    for group, gcfg in groups.items():
+        try:
+            for key in gcfg.options("run") if gcfg.has_section("run") else ():
+                if key != "suite":
+                    raise ConfigError(f"[run] {key}: a group's [run] holds only suite")
+            records += _run_suite(gcfg, seed, tol)
+        except (ValueError, QuadratureError) as exc:
+            raise ConfigError(f"group {group}: {exc}") from exc
+    return records
+
+
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    suite = _get(cfg, "run", "suite", required=True)
     seed = int(args.seed if args.seed is not None else _get(cfg, "run", "seed", "0"))
     tol = args.tol if args.tol is not None else (
         float(_get(cfg, "run", "tol")) if cfg.has_option("run", "tol") else None)
-    info: list[str] = []
-    if suite == "all":
-        records, info = _builtin_battery(seed, tol)
-    elif suite in _SUITES:
-        records = _SUITES[suite](cfg, seed, tol)
-    else:
-        raise ConfigError(f"[run] suite={suite!r} not one of "
-                          f"{sorted(_SUITES) + ['all']}")
+    records = (_run_groups(cfg, seed, tol) if any("." in s for s in cfg.sections())
+               else _run_suite(cfg, seed, tol))
     out_dir = _resolve_out_dir(args.out_dir, cfg)
     rec_path = _write_records(records, out_dir)
-    sum_path = _write_summary(records, out_dir, info)
+    sum_path = _write_summary(records, out_dir)
     n_fail = sum(1 for r in records if not r.passed)
     print(f"{len(records)} checks, {len(records) - n_fail} passed; "
           f"records: {rec_path}; summary: {sum_path}")
@@ -468,13 +449,19 @@ def cmd_certify(args) -> int:
 def cmd_merge(args) -> int:
     rows = []
     for path in args.reports:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != RECORD_HEADER:
-                print(f"schema mismatch in {path}: {header}", file=sys.stderr)
-                return 2
-            rows.extend(list(reader))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header != RECORD_HEADER:
+                    raise ConfigError(f"schema mismatch in {path}: {header}")
+                for row in reader:
+                    if len(row) != len(RECORD_HEADER):
+                        raise ConfigError(f"{path} line {reader.line_num}: "
+                                          f"{len(row)} fields, expected {len(RECORD_HEADER)}")
+                    rows.append(row)
+        except OSError as exc:
+            raise ConfigError(f"cannot read record file {path!r}: {exc.strerror}") from exc
     failures = [r for r in rows if r[3] != "true"]
     passes = [r for r in rows if r[3] == "true"]
     suites = {}
@@ -510,8 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                             help="largest K passing the pointwise criterion, per N")
     p_cert.add_argument("config")
     p_cert.set_defaults(fn=cmd_certify)
-    p_merge = sub.add_parser("merge", parents=[common],
-                             help="combine record files")
+    p_merge = sub.add_parser("merge", help="combine record files")
     p_merge.add_argument("reports", nargs="*")
     p_merge.set_defaults(fn=cmd_merge)
     args = parser.parse_args(argv)
@@ -520,7 +506,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # as -inf, nan and pass=false
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ConfigError, ValueError, QuadratureError) as exc:
+    except (ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,9 +80,10 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
     """Integrate the descent flow of f from x0 over [0, horizon].
 
     Classical RK4 with fixed step.  A step that leaves the domain is retried
-    as 2, 4, ..., 4096 substeps, and projected when every split leaves too.
-    A gradient magnitude above ``grad_cap`` truncates the curve and leaves a
-    diagnostic in the note.
+    as 2, 4, ..., 4096 substeps, and projected when every split leaves too;
+    the note then names the first projected time and the number of projected
+    steps.  A gradient magnitude above ``grad_cap`` truncates the curve and
+    leaves a diagnostic in the note.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -105,6 +106,7 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
 
     xs = [float(x0)]
     note = ""
+    projected = []      # end times of the projected steps
     x = float(x0)
     for i in range(n_steps):
         if abs(f.deriv(x)) > grad_cap:
@@ -124,8 +126,12 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
                     break
             else:   # every split leaves: project the full step
                 nxt = min(max(nxt, domain[0]), domain[1])
+                projected.append((i + 1) * step)
         x = nxt
         xs.append(x)
+    if projected:
+        note = (f"{len(projected)} of {n_steps} steps projected onto the domain boundary, "
+                f"first at t={projected[0]!r}" + (note and f"; {note}"))
     times = np.arange(len(xs)) * step
     return GradientCurve(times=times, points=np.asarray(xs, dtype=float),
                          step=step, note=note)

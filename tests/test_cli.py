@@ -1,5 +1,6 @@
 """Command-line front end: suites, certify, merge, determinism."""
 
+import configparser
 import csv
 import importlib.util
 import json
@@ -234,6 +235,116 @@ class TestFlowDomain:
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: [params] x0 4.0 outside the [potential] domain (0.5, 3.0)\n")
+
+
+class TestConfigSyntax:
+    @pytest.mark.parametrize("text, message", [
+        ("suite = flow\n", "error: File contains no section headers."),
+        ("[run]\nsuite = flow\n[run]\nseed = 1\n", "section 'run' already exists"),
+        ("[run]\nsuite = flow\nsuite = convexity\n", "option 'suite' in section 'run' "
+                                                    "already exists"),
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key"])
+    def test_syntax_error_is_an_error_line(self, tmp_path, capsys, text, message):
+        cfg = write_cfg(tmp_path / "bad.cfg", text)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+
+BATTERY = ROOT / "configs" / "battery.cfg"
+
+
+GROUPS_CFG = """
+[run]
+seed = 3
+
+[convexity.run]
+suite = convexity
+
+[convexity.function]
+kind = c
+
+[convexity.params]
+K = 0
+N = -2
+pairs = 5
+
+[flow.run]
+suite = flow
+
+[flow.potential]
+expr = x**2/2
+domain = -3 3
+
+[flow.params]
+K = 1
+N = -2
+step = 1e-2
+"""
+
+
+class TestSectionGroups:
+    def test_battery_is_its_groups_run_one_after_another(self, tmp_path):
+        # each group as a stand-alone file at the battery's seed: their
+        # records, in file order, are the battery's byte for byte
+        battery = configparser.ConfigParser(interpolation=None)
+        battery.optionxform = str
+        battery.read(BATTERY)
+        groups = {}
+        for name in battery.sections():
+            group, dot, section = name.partition(".")
+            if dot:
+                groups.setdefault(group, {})[section] = dict(battery[name])
+        assert list(groups) == ["convexity", "flow", "sphere", "gaussian", "model-weight"]
+        rows = []
+        for group, sections in groups.items():
+            sections["run"]["seed"] = "42"
+            single = configparser.ConfigParser(interpolation=None)
+            single.optionxform = str
+            single.read_dict(sections)
+            with open(tmp_path / f"{group}.cfg", "w", encoding="utf-8") as fh:
+                single.write(fh)
+            out = tmp_path / group
+            assert main(["run", str(tmp_path / f"{group}.cfg"), "--out-dir", str(out)]) == 0
+            rows += (out / "records.csv").read_bytes().splitlines(keepends=True)[1:]
+        assert main(["run", str(BATTERY), "--out-dir", str(tmp_path / "battery")]) == 0
+        header = b"check_id,params,worst_margin,pass\n"
+        assert (tmp_path / "battery" / "records.csv").read_bytes() == header + b"".join(rows)
+
+    def test_battery_summary_has_no_info_line(self, tmp_path):
+        assert main(["run", str(BATTERY), "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert all(line.startswith("PASS  ") for line in lines[:-1])
+        assert lines[-1] == "total: 24/24 passed"
+
+    @pytest.mark.parametrize("edit, message", [
+        (("[run]\n", "[run]\nsuite = flow\n"),
+         "[run] suite: with section groups each group names its suite in [<group>.run]"),
+        (("suite = flow\n", "suite = flow\nseed = 7\n"),
+         "group flow: [run] seed: a group's [run] holds only suite"),
+        (("suite = flow\n", "suite = flows\n"),
+         "group flow: [run] suite='flows' not one of "
+         "['convexity', 'flow', 'geometry', 'transport']"),
+        (("K = 1\n", ""), "group flow: missing key [params] K"),
+        (("[flow.params]", "[params]"), "[params] is outside every group"),
+    ], ids=["suite-beside-groups", "group-seed", "unknown-suite", "missing-key",
+            "section-outside-groups"])
+    def test_bad_group_is_an_error_line(self, tmp_path, capsys, edit, message):
+        cfg = write_cfg(tmp_path / "g.cfg", GROUPS_CFG.replace(*edit))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_groups_share_the_file_tol_and_out_dir(self, tmp_path):
+        # a tolerance of -1 asks every margin to reach 1
+        out = tmp_path / "o"
+        cfg = write_cfg(tmp_path / "g.cfg", GROUPS_CFG.replace(
+            "seed = 3", f"seed = 3\ntol = -1\nout_dir = {out}"))
+        assert main(["run", cfg]) == 1
+        _, rows = read_records(out)
+        assert [r[0].split("/")[0] for r in rows] == ["convexity"] * 3 + ["flow"] * 4
+        assert all(r[3] == "false" for r in rows)
 
 
 class TestRecordValues:
@@ -508,6 +619,26 @@ class TestMerge:
         bad.write_text("a,b\n1,2\n", encoding="utf-8")
         assert main(["merge", str(bad)]) == 2
         assert "schema mismatch" in capsys.readouterr().err
+
+    def test_merge_missing_file(self, tmp_path, capsys):
+        # an unmatched shell glob reaches merge as the pattern itself
+        pattern = str(tmp_path / "*" / "records.csv")
+        assert main(["merge", pattern]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read record file {pattern!r}: No such file or directory\n")
+
+    def test_merge_short_row(self, tmp_path, capsys):
+        a = self._mk(tmp_path / "a.csv", [["s1/x", "", "0.1", "true"], ["s1/y", "0.2"]])
+        assert main(["merge", a]) == 2
+        assert capsys.readouterr().err == f"error: {a} line 3: 2 fields, expected 4\n"
+
+    @pytest.mark.parametrize("flag", ["--tol", "--seed", "--out-dir"])
+    def test_merge_takes_no_run_flags(self, tmp_path, capsys, flag):
+        a = self._mk(tmp_path / "a.csv", [["s1/x", "", "0.1", "true"]])
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", flag, "1", a])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 class TestExpressionGrammar:

@@ -21,6 +21,8 @@ from negdimcd import (
     verify_evi_integrated,
 )
 
+from negdimcd.expr import compile_expr
+
 from conftest import linear, quadratic
 
 EVI_LATTICE_N = (-1.0, -2.0, -10.0)
@@ -45,6 +47,20 @@ class TestIntegrator:
         curve = integrate_flow(linear(1.0), 0.5, 1.0, 1e-2, domain=(0.0, 1.0))
         assert np.all(curve.points >= 0.0)
         assert curve.points[-1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_projection_is_noted(self):
+        # the exact curve sqrt(1 - 2t) of log(x) from 1 reaches 0.5 at
+        # t = 0.375; every later step leaves the domain and is projected
+        curve = integrate_flow(compile_expr("log(x)"), 1.0, 2.0, 1e-2, domain=(0.5, 3.0))
+        assert curve.note == ("163 of 200 steps projected onto the domain boundary, "
+                              "first at t=0.38")
+        assert np.all(curve.points[curve.times >= 0.38] == 0.5)
+        assert np.all(curve.points[curve.times < 0.38] > 0.5)
+
+    def test_unprojected_curve_has_no_note(self, quad_flow):
+        assert quad_flow.note == ""
+        curve = integrate_flow(quadratic(1.0), 1.0, 2.0, 2e-3, domain=(-3.0, 3.0))
+        assert curve.note == ""
 
     def test_blowup_truncates_with_note(self):
         steep = ScalarFunction1D(

@@ -318,12 +318,13 @@ class TestCheckCD:
         assert rep.passed
 
     def test_alternate_weight_crosscheck_recorded(self):
-        # the off-by-one power weight: outcome recorded, negative here
+        # the off-by-one power weight x^N misses CD(0, N); the t grid of the
+        # battery's model-weight run, 0.25 0.5 0.75, gives the same margin
         space_alt = power_weight_line(-2.0, 0.5, 8.0)
-        rep = check_cd(space_alt, self.MU0, self.MU1, 0.0, -2.0, self.TS)
-        assert math.isfinite(rep.worst_margin)
-        print(f"\nalternate-weight cross-check: margin={rep.worst_margin:.6g} "
-              f"pass={rep.passed}")
+        for ts in (self.TS, [0.25, 0.5, 0.75]):
+            rep = check_cd(space_alt, self.MU0, self.MU1, 0.0, -2.0, ts)
+            assert not rep.passed
+            assert rep.worst_margin == pytest.approx(-0.08115203501584789, rel=1e-9)
 
     def test_rejects_bad_n_prime(self):
         with pytest.raises(ValueError):
