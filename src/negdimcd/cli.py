@@ -69,18 +69,32 @@ def _record(suite: str, report: CheckReport, **params) -> Record:
 
 
 def _floats(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.split()]
+
+
+def _pair(raw: str) -> tuple[float, float]:
+    lo, hi = _floats(raw)
+    return lo, hi
+
+
+_EXPECTED = {float: "a number", int: "an integer", _floats: "space-separated numbers",
+             _pair: "two numbers"}
+
+
+def _get(cfg, section: str, key: str, default=None, required: bool = False,
+         conv=str):
+    """[section] key converted by conv (str, float, int, _floats or _pair),
+    else the default as given; a value conv rejects is an error naming the key."""
+    if not cfg.has_option(section, key):
+        if required:
+            raise ConfigError(f"missing key [{section}] {key}")
+        return default
+    raw = cfg.get(section, key)
     try:
-        return [float(tok) for tok in raw.split()]
+        return conv(raw)
     except ValueError as exc:
-        raise ConfigError(f"expected space-separated numbers, got {raw!r}") from exc
-
-
-def _get(cfg, section: str, key: str, default=None, required: bool = False) -> str:
-    if cfg.has_option(section, key):
-        return cfg.get(section, key)
-    if required:
-        raise ConfigError(f"missing key [{section}] {key}")
-    return default
+        raise ConfigError(f"[{section}] {key}: expected {_EXPECTED[conv]}, "
+                          f"got {raw!r}") from exc
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -96,8 +110,7 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _negative_n(raw: str, key: str) -> float:
-    value = float(raw)
+def _negative_n(value: float, key: str) -> float:
     if not -math.inf < value < 0:
         raise ConfigError(f"{key}: N must be negative and finite, got {value!r}")
     return value
@@ -110,19 +123,16 @@ def _negative_n(raw: str, key: str) -> float:
 def _function_from(cfg, section: str, K: float, N: float):
     """A scalar function plus evaluation window from a [function] section."""
     kind = _get(cfg, section, "kind")
-    window = _get(cfg, section, "domain")
+    window = _get(cfg, section, "domain", conv=_pair)
     if kind in ("a", "b", "c", "d"):
         f, dom = convexity.example_function(kind, K, N)
-        if window:
-            lo, hi = _floats(window)
-        else:
-            # default windows inside the stated open domains
-            lo, hi = {
-                "a": (-2.0, 2.0),
-                "b": (0.25, 3.0),
-                "c": (0.25, 4.0),
-                "d": (dom[0] * 0.9, dom[1] * 0.9),
-            }[kind]
+        # without a domain, a default window inside the stated open domain
+        lo, hi = window or {
+            "a": (-2.0, 2.0),
+            "b": (0.25, 3.0),
+            "c": (0.25, 4.0),
+            "d": (dom[0] * 0.9, dom[1] * 0.9),
+        }[kind]
         if not (dom[0] <= lo < hi <= dom[1]):
             raise ConfigError(f"[{section}] domain {lo, hi} outside {dom}")
         return f, (lo, hi)
@@ -131,25 +141,24 @@ def _function_from(cfg, section: str, K: float, N: float):
         raise ConfigError(f"[{section}] needs kind=a|b|c|d or expr=...")
     if window is None:
         raise ConfigError(f"[{section}] expr functions need an explicit domain")
-    lo, hi = _floats(window)
-    return compile_expr(expr), (lo, hi)
+    return compile_expr(expr), window
 
 
 def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere:
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
-        curv = float(_get(cfg, section, "curv", "1.0"))
-        radius = float(_get(cfg, section, "radius", "8.0"))
+        curv = _get(cfg, section, "curv", 1.0, conv=float)
+        radius = _get(cfg, section, "radius", 8.0, conv=float)
         return geometry.gaussian_line(curv, radius)
     if kind == "power":
-        exponent = float(_get(cfg, section, "exponent", required=True))
-        lo, hi = _floats(_get(cfg, section, "interval", required=True))
+        exponent = _get(cfg, section, "exponent", required=True, conv=float)
+        lo, hi = _get(cfg, section, "interval", required=True, conv=_pair)
         return geometry.power_weight_line(exponent, lo, hi)
     if kind == "lebesgue":
-        lo, hi = _floats(_get(cfg, section, "interval", required=True))
+        lo, hi = _get(cfg, section, "interval", required=True, conv=_pair)
         return geometry.lebesgue_line(lo, hi)
     if kind == "line":
-        lo, hi = _floats(_get(cfg, section, "interval", required=True))
+        lo, hi = _get(cfg, section, "interval", required=True, conv=_pair)
         weight = _get(cfg, section, "weight", required=True)
         return geometry.WeightedLine((lo, hi), compile_expr(weight))
     if kind == "sphere":
@@ -163,15 +172,15 @@ def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere
 def _density_from(cfg, section: str) -> transport.Density1D:
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
-        mean = float(_get(cfg, section, "mean", "0.0"))
-        sd = float(_get(cfg, section, "sd", "1.0"))
+        mean = _get(cfg, section, "mean", 0.0, conv=float)
+        sd = _get(cfg, section, "sd", 1.0, conv=float)
         return transport.gaussian_density(mean, sd)
     if kind == "uniform":
-        lo, hi = _floats(_get(cfg, section, "interval", required=True))
+        lo, hi = _get(cfg, section, "interval", required=True, conv=_pair)
         return transport.uniform_density(lo, hi)
     if kind == "expr":
         expr = _get(cfg, section, "expr", required=True)
-        lo, hi = _floats(_get(cfg, section, "support", required=True))
+        lo, hi = _get(cfg, section, "support", required=True, conv=_pair)
         fun = compile_expr(expr)
         return transport.Density1D(support=(lo, hi), pdf=fun, d_pdf=fun.deriv,
                                    normalize=True, name=expr)
@@ -202,15 +211,15 @@ def _fold(name: str, reports: Sequence[CheckReport]) -> CheckReport:
 
 
 def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
-    K = float(_get(cfg, "params", "K", required=True))
-    N = _negative_n(_get(cfg, "params", "N", required=True), "[params] N")
+    K = _get(cfg, "params", "K", required=True, conv=float)
+    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     f, window = _function_from(cfg, "function", K, N)
     p = convexity.ConvexityParams(K, N, window)
-    n_pairs = int(_get(cfg, "params", "pairs", "40"))
+    n_pairs = _get(cfg, "params", "pairs", 40, conv=int)
     if n_pairs < 1:
         raise ConfigError(f"[params] pairs must be at least 1, got {n_pairs}")
-    grid_n = int(_get(cfg, "params", "grid", "200"))
-    t_grid = _floats(_get(cfg, "params", "t_grid", "0.25 0.5 0.75"))
+    grid_n = _get(cfg, "params", "grid", 200, conv=int)
+    t_grid = _get(cfg, "params", "t_grid", [0.25, 0.5, 0.75], conv=_floats)
     tol = convexity.TOL_ANALYTIC if tol is None else tol
     rng = _rng(seed, "convexity-pairs")
     pairs = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
@@ -227,19 +236,21 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
 
 def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
     del seed  # flow checks are deterministic
-    K = float(_get(cfg, "params", "K", required=True))
-    N = _negative_n(_get(cfg, "params", "N", required=True), "[params] N")
+    K = _get(cfg, "params", "K", required=True, conv=float)
+    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     f, domain = _function_from(cfg, "potential", K, N)
-    x0 = float(_get(cfg, "params", "x0", "1.0"))
+    x0 = _get(cfg, "params", "x0", 1.0, conv=float)
     if not domain[0] <= x0 <= domain[1]:
         raise ConfigError(f"[params] x0 {x0!r} outside the [potential] domain {domain}")
-    step = float(_get(cfg, "params", "step", "1e-3"))
-    horizon = float(_get(cfg, "params", "horizon", "2.0"))
-    zs = _floats(_get(cfg, "params", "z", "0.0"))
-    t0 = float(_get(cfg, "params", "t0", "0.1"))
-    t1 = float(_get(cfg, "params", "t1", "0.5"))
+    step = _get(cfg, "params", "step", 1e-3, conv=float)
+    horizon = _get(cfg, "params", "horizon", 2.0, conv=float)
+    zs = _get(cfg, "params", "z", [0.0], conv=_floats)
+    t0 = _get(cfg, "params", "t0", 0.1, conv=float)
+    t1 = _get(cfg, "params", "t1", 0.5, conv=float)
     tol = 1e-6 if tol is None else tol
     curve = gradflow.integrate_flow(f, x0, horizon, step, domain)
+    if curve.note:
+        raise ConfigError(curve.note)
     records = []
     mid = horizon / 2.0
     records.append(_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),
@@ -257,9 +268,9 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
 
 def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     del seed
-    N = _negative_n(_get(cfg, "params", "N", required=True), "[params] N")
+    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     space = _space_from(cfg, "space")
-    grid_n = int(_get(cfg, "params", "grid", "400"))
+    grid_n = _get(cfg, "params", "grid", 400, conv=int)
     cert = geometry.min_ricci_n(space, N,
                                 convexity.interior_grid(space.interval, grid_n, 1e-3))
     records = [Record("geometry/min-ricci", f"N={N};grid={grid_n}", cert.K, True)]
@@ -270,7 +281,7 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
                                   convexity.interior_grid(space.interval, 64, 1e-3),
                                   tol=1e-8 if tol is None else tol)
     records.append(_record("geometry", rep, N=N, u=u_expr))
-    mesh = int(_get(cfg, "params", "mesh", "2000"))
+    mesh = _get(cfg, "params", "mesh", 2000, conv=int)
     eig = geometry.lichnerowicz(space, N, mesh_size=mesh,
                                 **({} if tol is None else {"tol": tol}))
     records.append(Record("geometry/spectral-gap",
@@ -281,25 +292,25 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
 
 def run_transport(cfg, seed: int, tol: float | None) -> list[Record]:
     del seed
-    K = float(_get(cfg, "params", "K", required=True))
-    N = _negative_n(_get(cfg, "params", "N", required=True), "[params] N")
+    K = _get(cfg, "params", "K", required=True, conv=float)
+    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     tol = 1e-8 if tol is None else tol
     space = _space_from(cfg, "space")
     if not isinstance(space, geometry.WeightedLine):
         raise ConfigError("[space] transport suite needs a line-type space")
     checks = _get(cfg, "params", "checks",
                   "cd cdstar jacobian bm entropic hwi talagrand logsobolev").split()
-    t_grid = _floats(_get(cfg, "params", "t_grid", "0.25 0.5 0.75"))
+    t_grid = _get(cfg, "params", "t_grid", [0.25, 0.5, 0.75], conv=_floats)
     wanted = set(checks)
     pair = {"cd", "cdstar", "jacobian", "entropic", "hwi"}
     mu0 = (_density_from(cfg, "mu0")
            if wanted & (pair | {"talagrand", "logsobolev"}) else None)
     mu1 = _density_from(cfg, "mu1") if wanted & pair else None
-    t_bm = float(_get(cfg, "params", "t", "0.5")) if "bm" in wanted else None
+    t_bm = _get(cfg, "params", "t", 0.5, conv=float) if "bm" in wanted else None
 
     def bm():
-        A0 = tuple(_floats(_get(cfg, "params", "A0", required=True)))
-        A1 = tuple(_floats(_get(cfg, "params", "A1", required=True)))
+        A0 = _get(cfg, "params", "A0", required=True, conv=_pair)
+        A1 = _get(cfg, "params", "A1", required=True, conv=_pair)
         return transport.brunn_minkowski(space, A0, A1, t_bm, K, N, tol=tol)
 
     calls = {
@@ -399,9 +410,8 @@ def _run_groups(cfg, seed: int, tol: float | None) -> list[Record]:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    seed = int(args.seed if args.seed is not None else _get(cfg, "run", "seed", "0"))
-    tol = args.tol if args.tol is not None else (
-        float(_get(cfg, "run", "tol")) if cfg.has_option("run", "tol") else None)
+    seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", 0, conv=int)
+    tol = args.tol if args.tol is not None else _get(cfg, "run", "tol", conv=float)
     records = (_run_groups(cfg, seed, tol) if any("." in s for s in cfg.sections())
                else _run_suite(cfg, seed, tol))
     out_dir = _resolve_out_dir(args.out_dir, cfg)
@@ -418,17 +428,15 @@ def cmd_run(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
-    n_values = [
-        _negative_n(tok, "[certify] N")
-        for tok in _get(cfg, "certify", "N", required=True).split()
-    ]
-    grid_n = int(_get(cfg, "certify", "grid", "400"))
-    tol = args.tol if args.tol is not None else float(_get(cfg, "certify", "tol", "1e-9"))
+    n_values = [_negative_n(v, "[certify] N")
+                for v in _get(cfg, "certify", "N", required=True, conv=_floats)]
+    grid_n = _get(cfg, "certify", "grid", 400, conv=int)
+    tol = args.tol if args.tol is not None else _get(cfg, "certify", "tol", 1e-9, conv=float)
     out_dir = _resolve_out_dir(args.out_dir, cfg)
     records = []
     for N in n_values:
         f, window = _function_from(cfg, "function",
-                                   float(_get(cfg, "certify", "K_hint", "0.0")), N)
+                                   _get(cfg, "certify", "K_hint", 0.0, conv=float), N)
         grid = convexity.interior_grid(window, grid_n)
         # f_N'' + (K/N) f_N = (f_N/|N|) (f'' - f'^2/N - K) with f_N > 0, so the
         # largest K that passes on the grid is the grid minimum of the

@@ -48,10 +48,6 @@ class WeightedLine:
     interval: Tuple[float, float]
     psi: ScalarFunction1D
 
-    @property
-    def n(self) -> int:
-        return 1
-
 
 @dataclass(frozen=True)
 class RotSphere:
@@ -61,10 +57,6 @@ class RotSphere:
     """
 
     psi: ScalarFunction1D
-
-    @property
-    def n(self) -> int:
-        return 2
 
     @property
     def interval(self) -> Tuple[float, float]:

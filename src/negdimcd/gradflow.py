@@ -1,9 +1,12 @@
 """Gradient curves of 1-D potentials and the inequalities they satisfy.
 
 A curve solves xi' = -f'(xi) by a classical fixed-step fourth-order
-integrator (determinism and simple error accounting; no adaptivity).  The
-checkers verify the energy dissipation identity, the dimensional evolution
-variational inequality in differential and integrated form, the regularizing
+integrator (determinism and simple error accounting; no adaptivity).  It
+stops, with a note naming t and the cause, before the first step that is not
+a descent step: a gradient above ``GRAD_CAP``, a step beyond RK4's stability
+limit, or a stage point or endpoint outside the domain.  The checkers verify
+the energy dissipation identity, the dimensional evolution variational
+inequality in differential and integrated form, the regularizing
 and continuity estimates it implies, and the expansion bound for Lipschitz
 potentials.
 
@@ -37,6 +40,9 @@ __all__ = [
     "expansion_bound",
     "claim_convexity_margin",
 ]
+
+GRAD_CAP = 1e8      # |f'| above which a curve stops
+RK4_LIMIT = 2.785   # RK4's real-axis stability limit for step*|f''|
 
 
 @dataclass
@@ -74,64 +80,54 @@ class GradientCurve:
         return "\n".join(lines) + "\n"
 
 
+def _rk4_step(f: ScalarFunction1D, x: float, h: float, lo: float, hi: float):
+    """One RK4 step of xi' = -f'(xi) from x: (endpoint, "") when it is a
+    descent step, else (x, the cause)."""
+    k1 = -float(f.deriv(x))
+    z = h * abs(float(f.deriv2(x)))
+    if not abs(k1) <= GRAD_CAP:
+        return x, f"|f'| = {abs(k1)!r} is above the gradient cap {GRAD_CAP!r}"
+    if not z <= RK4_LIMIT:
+        return x, f"step*|f''| = {z!r} is beyond RK4's stability limit {RK4_LIMIT!r}"
+    ks = [k1]
+    for c in (0.5, 0.5, 1.0):
+        y = x + c * h * ks[-1]
+        if not (lo <= y <= hi and math.isfinite(y)):
+            return x, f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
+        ks.append(-float(f.deriv(y)))
+    y = x + h / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
+    if not (lo <= y <= hi and math.isfinite(y)):
+        return x, f"the endpoint {y!r} is outside the domain ({lo!r}, {hi!r})"
+    return y, ""
+
+
 def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
-                   domain: tuple[float, float] | None = None,
-                   grad_cap: float = 1e8) -> GradientCurve:
+                   domain: tuple[float, float] | None = None) -> GradientCurve:
     """Integrate the descent flow of f from x0 over [0, horizon].
 
-    Classical RK4 with fixed step.  A step that leaves the domain is retried
-    as 2, 4, ..., 4096 substeps, and projected when every split leaves too;
-    the note then names the first projected time and the number of projected
-    steps.  A gradient magnitude above ``grad_cap`` truncates the curve and
-    leaves a diagnostic in the note.
+    Classical RK4 with fixed step.  The curve stops before the first step it
+    cannot take as a descent step, and the note names t and the cause:
+    |f'(x)| above ``GRAD_CAP``, step*|f''(x)| beyond RK4's real-axis
+    stability limit, or a stage point or the endpoint outside the domain.
+    A stop before the first step raises ValueError with that note.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
-
-    def rhs(x):
-        return -float(f.deriv(x))
-
-    def rk4(x, h):
-        k1 = rhs(x)
-        k2 = rhs(x + 0.5 * h * k1)
-        k3 = rhs(x + 0.5 * h * k2)
-        k4 = rhs(x + h * k3)
-        return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def inside(x):
-        return domain is None or (domain[0] <= x <= domain[1])
-
+    lo, hi = (-math.inf, math.inf) if domain is None else domain
     xs = [float(x0)]
     note = ""
-    projected = []      # end times of the projected steps
-    x = float(x0)
     for i in range(n_steps):
-        if abs(f.deriv(x)) > grad_cap:
-            note = f"gradient cap {grad_cap!r} exceeded at t={i * step!r}; curve truncated"
+        x, cause = _rk4_step(f, xs[-1], step, lo, hi)
+        if cause:
+            note = (f"curve stops before the step of {step!r} from t={i * step!r}, "
+                    f"x={x!r}: {cause}")
+            if i == 0:
+                raise ValueError(note)
             break
-        nxt = rk4(x, step)
-        if not inside(nxt):
-            # the first split into 2, 4, ..., 4096 substeps that stays inside
-            for sub in (2**k for k in range(1, 13)):
-                y = x
-                for _ in range(sub):
-                    y = rk4(y, step / sub)
-                    if not inside(y):
-                        break
-                else:
-                    nxt = y
-                    break
-            else:   # every split leaves: project the full step
-                nxt = min(max(nxt, domain[0]), domain[1])
-                projected.append((i + 1) * step)
-        x = nxt
         xs.append(x)
-    if projected:
-        note = (f"{len(projected)} of {n_steps} steps projected onto the domain boundary, "
-                f"first at t={projected[0]!r}" + (note and f"; {note}"))
     times = np.arange(len(xs)) * step
     return GradientCurve(times=times, points=np.asarray(xs, dtype=float),
                          step=step, note=note)
@@ -312,8 +308,7 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
 
 def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
                     L: float, t0: float, t1: float, step: float,
-                    tol: float = 1e-9,
-                    domain: tuple[float, float] | None = None) -> CheckReport:
+                    tol: float = 1e-9) -> CheckReport:
     """Expansion bound between two descent curves of a Lipschitz potential.
 
     With Theta = (2K + 4L^2/N)(t1 + sqrt(t1*t0) + t0)/3, the margin is
@@ -322,16 +317,19 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
         - d(xi(t0), zeta(t1))^2.
 
     The claimed gradient bound L is audited along both trajectories and a
-    violation is rejected with the offending point.
+    violation is rejected with the offending point; a curve that stops
+    before max(t0, t1) is rejected with its note.
     """
     if not N < 0:
         raise ValueError("N must be negative")
     if t0 < 0 or t1 < 0:
         raise ValueError("times must be nonnegative")
     horizon = max(t0, t1, step)
-    xi = integrate_flow(f, x, horizon, step, domain=domain)
-    zeta = integrate_flow(f, y, horizon, step, domain=domain)
+    xi = integrate_flow(f, x, horizon, step)
+    zeta = integrate_flow(f, y, horizon, step)
     for curve in (xi, zeta):
+        if curve.note:
+            raise ValueError(curve.note)
         g = local_slope(f, curve.points)
         over = np.flatnonzero(g > L + 1e-12)
         if over.size:

@@ -4,6 +4,7 @@ import configparser
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -215,8 +216,9 @@ step = 1e-2
 
 
 class TestFlowDomain:
-    def test_curve_stays_in_the_potential_domain(self, tmp_path, monkeypatch):
-        # without the domain the curve of log(x) from 1 went below 0, to -5.99
+    def test_curve_stays_in_the_potential_domain(self, tmp_path, monkeypatch, capsys):
+        # the exact curve sqrt(1 - 2t) of log(x) from 1 leaves (0.5, 3) at
+        # t = 0.375, so the run writes no record
         curves = []
 
         def integrate_flow(*args, **kwargs):
@@ -226,15 +228,86 @@ class TestFlowDomain:
         real = gradflow.integrate_flow
         monkeypatch.setattr(gradflow, "integrate_flow", integrate_flow)
         cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG)
-        main(["run", cfg, "--out-dir", str(tmp_path / "o")])
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: curve stops before the step of 0.01 from t=0.37, "
+            "x=0.5099019477247225: a stage point 0.49990387017302906 is outside "
+            "the domain (0.5, 3.0)\n")
+        assert not (tmp_path / "o").exists()
         (curve,) = curves
-        assert 0.5 <= curve.points.min() and curve.points.max() <= 3.0
+        assert 0.5 < curve.points.min() and curve.points.max() <= 3.0
 
     def test_start_outside_the_domain_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG.replace("x0 = 1", "x0 = 4"))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: [params] x0 4.0 outside the [potential] domain (0.5, 3.0)\n")
+
+
+CERTIFY_CFG = """
+[certify]
+N = -2 -10
+
+[function]
+expr = x**2/2
+domain = -3 3
+"""
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize("text, edit, message", [
+        (LOG_FLOW_CFG, ("K = 0", "K = zero"), "[params] K: expected a number, got 'zero'"),
+        (LOG_FLOW_CFG, ("step = 1e-2", "step = fine"),
+         "[params] step: expected a number, got 'fine'"),
+        (CONVEXITY_CFG, ("seed = 42", "seed = x"), "[run] seed: expected an integer, got 'x'"),
+        (CONVEXITY_CFG, ("pairs = 25", "t_grid = 0.25 half"),
+         "[params] t_grid: expected space-separated numbers, got '0.25 half'"),
+        (CERTIFY_CFG, ("N = -2 -10", "N = -2 minus10"),
+         "[certify] N: expected space-separated numbers, got '-2 minus10'"),
+        (LOG_FLOW_CFG, ("domain = 0.5 3", "domain = 0.5"),
+         "[potential] domain: expected two numbers, got '0.5'"),
+    ], ids=["K", "step", "seed", "t_grid", "certify-N", "domain"])
+    def test_bad_number_names_its_key(self, tmp_path, capsys, text, edit, message):
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
+        command = "certify" if text is CERTIFY_CFG else "run"
+        assert main([command, cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def geometry_records(tmp_path, space):
+    cfg = write_cfg(tmp_path / "g.cfg", f"""
+[run]
+suite = geometry
+
+[space]
+{space}
+
+[params]
+N = -2
+""")
+    out = tmp_path / space.split()[2]
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    return {r[0]: r for r in read_records(out)[1]}
+
+
+class TestSpaceKinds:
+    def test_line_weight_matches_the_gaussian(self, tmp_path):
+        line = geometry_records(tmp_path, "kind = line\nweight = x**2/2\ninterval = -8 8")
+        gauss = geometry_records(tmp_path, "kind = gaussian")
+        assert line["geometry/min-ricci"] == gauss["geometry/min-ricci"]
+        assert line["geometry/min-ricci"][2] == "1.000133467034336"
+        assert line["geometry/bochner"] == gauss["geometry/bochner"]
+        assert line["geometry/bochner"][2] == "0.0026767555219617527"
+        assert float(line["geometry/spectral-gap"][2]) == pytest.approx(
+            float(gauss["geometry/spectral-gap"][2]), abs=1e-12)
+
+    def test_lebesgue_interval(self, tmp_path):
+        # flat weight: Ric_N = 0 and the Neumann gap of (-1, 2) is (pi/3)^2
+        rows = geometry_records(tmp_path, "kind = lebesgue\ninterval = -1 2")
+        assert rows["geometry/min-ricci"][2] == "0.0"
+        assert rows["geometry/bochner"][2] == "0.0"
+        lambda1 = float(rows["geometry/spectral-gap"][1].split("lambda1=")[1].split(";")[0])
+        assert lambda1 == pytest.approx((math.pi / 3.0) ** 2, abs=1e-6)
 
 
 class TestConfigSyntax:

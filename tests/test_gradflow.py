@@ -10,6 +10,7 @@ from negdimcd import (
     ScalarFunction1D,
     check_pointwise,
     claim_convexity_margin,
+    example_function,
     expansion_bound,
     integrate_flow,
     local_slope,
@@ -43,39 +44,70 @@ class TestIntegrator:
         curve = integrate_flow(linear(a), 1.0, 1.0, 1e-2)
         assert np.max(np.abs(curve.points - (1.0 - a * curve.times))) <= 1e-12
 
-    def test_domain_projection(self):
-        curve = integrate_flow(linear(1.0), 0.5, 1.0, 1e-2, domain=(0.0, 1.0))
-        assert np.all(curve.points >= 0.0)
-        assert curve.points[-1] == pytest.approx(0.0, abs=1e-12)
-
-    def test_projection_is_noted(self):
-        # the exact curve sqrt(1 - 2t) of log(x) from 1 reaches 0.5 at
-        # t = 0.375; every later step leaves the domain and is projected
-        curve = integrate_flow(compile_expr("log(x)"), 1.0, 2.0, 1e-2, domain=(0.5, 3.0))
-        assert curve.note == ("163 of 200 steps projected onto the domain boundary, "
-                              "first at t=0.38")
-        assert np.all(curve.points[curve.times >= 0.38] == 0.5)
-        assert np.all(curve.points[curve.times < 0.38] > 0.5)
-
     def test_unprojected_curve_has_no_note(self, quad_flow):
         assert quad_flow.note == ""
         curve = integrate_flow(quadratic(1.0), 1.0, 2.0, 2e-3, domain=(-3.0, 3.0))
         assert curve.note == ""
 
     def test_blowup_truncates_with_note(self):
+        # x(t) = e^{2t} passes the gradient cap 1e8 between t = 8.87 and 8.88
         steep = ScalarFunction1D(
             fn=lambda x: -np.asarray(x, dtype=float) ** 2,
             d1=lambda x: -2.0 * np.asarray(x, dtype=float),
             d2=lambda x: -2.0 * np.ones_like(np.asarray(x, dtype=float)))
-        curve = integrate_flow(steep, 1.0, 40.0, 1e-2, grad_cap=1e3)
-        assert "truncated" in curve.note
-        assert curve.times[-1] < 40.0
+        curve = integrate_flow(steep, 1.0, 40.0, 1e-2)
+        assert curve.times[-1] == pytest.approx(8.87)
+        assert "is above the gradient cap 100000000.0" in curve.note
+
+    @pytest.mark.parametrize("x0", [2.0, -1.5, 0.5])
+    def test_log_cosh_closed_form(self, x0):
+        # x' = -tanh(x) gives sinh(x(t)) = sinh(x0) e^{-t}
+        curve = integrate_flow(compile_expr("log(cosh(x))"), x0, 2.0, 1e-2)
+        err = np.sinh(curve.points) - math.sinh(x0) * np.exp(-curve.times)
+        assert curve.note == "" and np.max(np.abs(err)) <= 3e-11
 
     def test_text_export(self, quad_flow):
         table = quad_flow.to_text()
         lines = table.strip().splitlines()
         assert lines[0].startswith("#")
         assert len(lines) == len(quad_flow) + 1
+
+
+class TestStopRule:
+    """A curve stops before the first step it cannot take as a descent step."""
+
+    def test_domain_exit_stops_the_curve(self):
+        # the exact flow of -x is x0 + t; the step from 0.8 reaches 1.1
+        curve = integrate_flow(compile_expr("-x"), 0.5, 1.2, 0.3, domain=(0.0, 1.0))
+        assert curve.points.tolist() == [0.5, 0.8]
+        assert curve.note == ("curve stops before the step of 0.3 from t=0.3, x=0.8: "
+                              "a stage point 1.1 is outside the domain (0.0, 1.0)")
+
+    def test_stop_is_noted(self):
+        # the exact curve sqrt(1 - 2t) of log(x) from 1 reaches 0.5 at t = 0.375
+        curve = integrate_flow(compile_expr("log(x)"), 1.0, 2.0, 1e-2, domain=(0.5, 3.0))
+        assert curve.times[-1] == 0.37
+        assert curve.note.startswith("curve stops before the step of 0.01 from t=0.37, "
+                                     "x=0.5099019")
+        assert curve.note.endswith("is outside the domain (0.5, 3.0)")
+        assert np.max(np.abs(curve.points - np.sqrt(1.0 - 2.0 * curve.times))) <= 1e-6
+
+    def test_stage_points_stay_inside(self):
+        # x' = -2/x reaches 0.05 at t = 0.249; a step from there would take
+        # f' at stage points down to -0.34, where it has the wrong sign
+        f, _ = example_function("c", 0.0, -2.0)
+        curve = integrate_flow(f, 1.0, 1.0, 1e-2, domain=(0.05, 3.0))
+        assert curve.times[-1] == 0.24
+        assert np.all(curve.points > 0.05) and np.all(np.diff(curve.points) < 0)
+        assert "a stage point" in curve.note
+
+    @pytest.mark.parametrize("domain", [None, (0.0, 1.2)], ids=["unbounded", "bounded"])
+    def test_unstable_step_raises(self, domain):
+        # h*f'' = 3 is beyond RK4's real-axis limit, where a step amplifies
+        # the distance to the minimum 0.01 instead of shrinking it
+        with pytest.raises(ValueError, match=r"from t=0.0, x=1.0: step\*\|f''\| = 3.0 "
+                                             r"is beyond RK4's stability limit 2.785"):
+            integrate_flow(compile_expr("150*(x - 0.01)**2"), 1.0, 1.0, 0.01, domain)
 
 
 class TestSlopeAndSpeed:
@@ -227,6 +259,12 @@ class TestRegularizing:
 
 
 class TestExpansionBound:
+    def test_stopped_curve_is_rejected(self):
+        # the curve sqrt(1 - 2t) of log(x) from 1 is near 0 at t = 0.5, where
+        # step*|f''| = 41; t1 = 0.6 lies beyond the stop
+        with pytest.raises(ValueError, match=r"from t=0.5, x=0.0156.*stability limit"):
+            expansion_bound(compile_expr("log(x)"), 1.0, 2.0, 0.0, -2.0, 2.0, 0.2, 0.6, 1e-2)
+
     def test_constant_potential_exact(self):
         f = ScalarFunction1D.constant(0.0)
         N = -2.0

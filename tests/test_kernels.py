@@ -31,7 +31,6 @@ from negdimcd import (
     exp_transform,
     gaussian_density,
     gaussian_line,
-    integrate_flow,
     interior_grid,
     min_ricci_n,
     power_weight_line,
@@ -403,72 +402,6 @@ class TestTransportMatchesTimeLoops:
         assert_close([rep.worst_margin], [min(margins)])
         if rep.status != "trivial":
             assert_worst_location(rep, margins, self.T_GRID)
-
-
-# ---------------------------------------------------------------------------
-# gradient flow at a domain boundary
-
-
-def flow_loop(f, x0, horizon, step, domain):
-    """The boundary handling of ``integrate_flow`` as first written: a while
-    loop over split counts, then a fresh full step projected onto the domain.
-    Returns the points and the split count taken at each boundary step
-    (0 for a projection)."""
-    def rk4(x, h):
-        k1 = -float(f.deriv(x))
-        k2 = -float(f.deriv(x + 0.5 * h * k1))
-        k3 = -float(f.deriv(x + 0.5 * h * k2))
-        k4 = -float(f.deriv(x + h * k3))
-        return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    def inside(x):
-        return domain[0] <= x <= domain[1]
-
-    xs, events, x = [float(x0)], [], float(x0)
-    for _ in range(int(round(horizon / step))):
-        nxt = rk4(x, step)
-        if not inside(nxt):
-            sub = 2
-            while sub <= 1 << 12:
-                y = x
-                ok = True
-                for _ in range(sub):
-                    y = rk4(y, step / sub)
-                    if not inside(y):
-                        ok = False
-                        break
-                if ok:
-                    nxt = y
-                    events.append(sub)
-                    break
-                sub *= 2
-            else:
-                nxt = min(max(rk4(x, step), domain[0]), domain[1])
-                events.append(0)
-            if not inside(nxt):
-                nxt = min(max(nxt, domain[0]), domain[1])
-        x = nxt
-        xs.append(x)
-    return np.array(xs), events
-
-
-class TestFlowAtTheBoundary:
-    def test_split_matches_the_loop(self):
-        # the first step overshoots below 0; two substeps of 0.005 stay inside
-        f = compile_expr("150*(x - 0.01)**2")
-        want, events = flow_loop(f, 1.0, 1.0, 0.01, (0.0, 1.2))
-        assert events[0] == 2
-        curve = integrate_flow(f, 1.0, 1.0, 0.01, domain=(0.0, 1.2))
-        assert curve.points.tobytes() == want.tobytes()
-
-    def test_projection_matches_the_loop(self):
-        # the linear flow is exact, so every split leaves (0, 1) as the full step does
-        f = compile_expr("-x")
-        want, events = flow_loop(f, 0.5, 1.2, 0.3, (0.0, 1.0))
-        assert events == [0, 0, 0]
-        curve = integrate_flow(f, 0.5, 1.2, 0.3, domain=(0.0, 1.0))
-        assert curve.points.tobytes() == want.tobytes()
-        assert curve.points.tolist() == [0.5, 0.8, 1.0, 1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
