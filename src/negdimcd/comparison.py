@@ -36,20 +36,22 @@ def _comparison(kappa, theta, sine: bool):
     """s (sine) or c by the series, sin (kappa > 0) or sinh (kappa < 0) branch."""
     kappa = np.asarray(kappa, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0):
+    if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    kappa, theta = np.broadcast_arrays(kappa, theta)
-    out = np.empty(kappa.shape, dtype=float)
-    u = np.abs(kappa) * theta * theta
-    small = u <= SERIES_THRESHOLD
-    pos = (kappa > 0) & ~small
-    neg = (kappa < 0) & ~small
-    series = _s_series if sine else _c_series
-    out[small] = series(kappa[small], theta[small])
-    rt = np.sqrt(kappa[pos])
-    out[pos] = np.sin(rt * theta[pos]) / rt if sine else np.cos(rt * theta[pos])
-    rt = np.sqrt(-kappa[neg])
-    out[neg] = np.sinh(rt * theta[neg]) / rt if sine else np.cosh(rt * theta[neg])
+    k_abs = np.abs(kappa)
+    large = k_abs * theta * theta > SERIES_THRESHOLD
+    rt = np.sqrt(k_abs)
+    out = np.asarray(rt * theta)
+    trig, hyp = (np.sin, np.sinh) if sine else (np.cos, np.cosh)
+    trig(out, out=out, where=large & (kappa > 0))
+    hyp(out, out=out, where=large & (kappa < 0))
+    if sine:
+        np.divide(out, rt, out=out, where=large)
+    small = ~large
+    if small.any():
+        series = _s_series if sine else _c_series
+        kappa, theta = np.broadcast_arrays(kappa, theta)
+        out[small] = series(kappa[small], theta[small])
     return float(out) if out.ndim == 0 else out
 
 
@@ -71,9 +73,9 @@ def _t_and_theta(t, theta):
     """t in [0, 1] and theta >= 0 as float arrays."""
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if np.any((t < 0) | (t > 1)):
+    if ((t < 0) | (t > 1)).any():
         raise ValueError("t must lie in [0, 1]")
-    if np.any(theta < 0):
+    if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
     return t, theta
 
@@ -86,14 +88,12 @@ def sigma(kappa, t, theta):
     """
     kappa = np.asarray(kappa, dtype=float)
     t, theta = _t_and_theta(t, theta)
-    kappa, t, theta = np.broadcast_arrays(kappa, t, theta)
-    out = np.empty(kappa.shape, dtype=float)
     zero = theta == 0
-    oob = (kappa > 0) & (theta * np.sqrt(np.maximum(kappa, 0.0)) >= math.pi)
-    rest = ~zero & ~oob
-    out[zero] = t[zero]
-    out[oob] = np.inf
-    out[rest] = s(kappa[rest], t[rest] * theta[rest]) / s(kappa[rest], theta[rest])
+    out = np.asarray(s(kappa, t * theta))
+    np.divide(out, s(kappa, theta), out=out, where=~zero)
+    np.copyto(out, t, where=zero)
+    np.copyto(out, np.inf,
+              where=(kappa > 0) & (theta * np.sqrt(np.maximum(kappa, 0.0)) >= math.pi))
     return float(out) if out.ndim == 0 else out
 
 
@@ -113,15 +113,12 @@ def tau(K, N, t, theta):
         raise ValueError("N must be negative")
     K = np.asarray(K, dtype=float)
     t, theta = _t_and_theta(t, theta)
-    K, t, theta = np.broadcast_arrays(K, t, theta)
-    out = np.empty(K.shape, dtype=float)
-    zero = t == 0
     sig = np.asarray(sigma(K / (N - 1.0), t, theta))
-    oob = np.isinf(sig) & ~zero
-    rest = ~zero & ~oob
-    out[zero] = 0.0
-    out[oob] = np.inf
-    out[rest] = _pow_inv(t[rest], 1.0 / N) * _pow_inv(sig[rest], (N - 1.0) / N)
+    # log 0 and inf * 0 at t = 0, replaced by the convention below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(_pow_inv(t, 1.0 / N) * _pow_inv(sig, (N - 1.0) / N))
+    np.copyto(out, np.inf, where=np.isinf(sig))
+    np.copyto(out, 0.0, where=t == 0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -318,7 +318,8 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
 
     The claimed gradient bound L is audited along both trajectories and a
     violation is rejected with the offending point; a curve that stops
-    before max(t0, t1) is rejected with its note.
+    before max(t0, t1) is rejected with its note.  Where e^{-Theta}
+    overflows, the bound is +inf and so is the margin, with a note.
     """
     if not N < 0:
         raise ValueError("N must be negative")
@@ -338,11 +339,15 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
                              f"{L!r} at x={float(curve.points[i])!r}")
     theta = (2.0 * K + 4.0 * L * L / N) * (t1 + math.sqrt(t1 * t0) + t0) / 3.0
     d0 = abs(x - y)
-    rhs = 2.0 * math.exp(-theta) * (
-        d0 * d0 / 2.0 - N * (math.sqrt(t1) - math.sqrt(t0)) ** 2 * _expm1_over(theta, 1.0))
     dist = abs(xi.points[xi.index_at(t0)] - zeta.points[zeta.index_at(t1)])
-    return CheckReport.from_margins("expansion", [rhs - dist * dist],
-                                    [(t0, t1)], tol)
+    spread = 2.0 * N * (math.sqrt(t1) - math.sqrt(t0)) ** 2
+    note = ""
+    # (1 - e^-Theta)/Theta is finite for large Theta; e^-Theta overflows where the bound is +inf
+    try:
+        margin = d0 * d0 * math.exp(-theta) - spread * _expm1_over(-theta, 1.0) - dist * dist
+    except OverflowError:
+        margin, note = math.inf, f"bound is +inf: e^-Theta overflows at Theta={theta!r}"
+    return CheckReport.from_margins("expansion", [margin], [(t0, t1)], tol, note=note)
 
 
 def claim_convexity_margin(f: ScalarFunction1D, K: float, N: float, L: float,

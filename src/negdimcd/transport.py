@@ -57,23 +57,31 @@ def _simpson_cdf(y, xs):
     takes the parabola through nodes i..i+2 when i is even, and through nodes
     i-1..i+1 when i is odd or last (eq. (8) of K. V. Cartwright, J. Math.
     Sci. Math. Educ. 12(2), for unequal intervals)."""
-    def first_intervals(y, dx):
-        x21, x32 = dx[:-1], dx[1:]
-        r = x21 / (x21 + x32)
-        rr = r * (x21 / x32)
-        return x21 / 6 * ((3 - r) * y[:-2] + (3 + rr + r) * y[1:-1] - rr * y[2:])
-
     dx = np.diff(xs)
     if np.any(dx <= 0):
         raise ValueError("Simpson nodes must be strictly increasing")
-    h1 = first_intervals(y, dx)
-    h2 = first_intervals(y[::-1], dx[::-1])[::-1]
-    parts = np.empty(len(y))
-    parts[0] = 0.0
-    parts[1:-1:2] = h1[::2]
-    parts[2::2] = h2[::2]
-    parts[-1] = h2[-1]
-    return np.cumsum(parts)
+    n = len(y)
+    e = 2 * ((n - 1) // 2)
+    parts = np.zeros(n)
+    # intervals 2m and 2m+1 (2m+1 < e) share the parabola through nodes
+    # 2m..2m+2, read forward and backward; the buffered steps below follow
+    # the operation order of the last interval's formula, bit for bit
+    width = dx[0:e:2] + dx[1:e:2]
+    r, rr, w = np.empty((3, len(width)))
+    for h, g, near, far, out in ((dx[0:e:2], dx[1:e:2], y[0:e:2], y[2:e + 1:2], parts[1:e:2]),
+                                 (dx[1:e:2], dx[0:e:2], y[2:e + 1:2], y[0:e:2], parts[2:e + 1:2])):
+        np.divide(h, width, out=r)
+        np.multiply(np.divide(h, g, out=rr), r, out=rr)
+        np.multiply(np.subtract(3, r, out=out), near, out=out)
+        out += np.multiply(np.add(np.add(3, rr, out=w), r, out=w), y[1:e:2], out=w)
+        out -= np.multiply(rr, far, out=w)
+        out *= np.divide(h, 6, out=w)
+    if n % 2 == 0:  # the last interval, by the parabola through the last three nodes
+        h, g = dx[-1], dx[-2]
+        r = h / (h + g)
+        rr = r * (h / g)
+        parts[-1] = h / 6 * ((3 - r) * y[-1] + (3 + rr + r) * y[-2] - rr * y[-3])
+    return np.cumsum(parts, out=parts)
 
 
 @dataclass

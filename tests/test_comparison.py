@@ -5,8 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from negdimcd import c, g_combiner, s, sigma, tau
+from negdimcd.comparison import SERIES_THRESHOLD
 
 mpmath.mp.dps = 50
 
@@ -151,6 +154,77 @@ class TestSmallKappa:
             assert cur <= prev + 1e-15
             prev = cur
         assert prev <= 1e-11
+
+
+def _same_bits(got, want):
+    """Equal shapes and bits, a NaN matching any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
+
+
+KAPPA = st.one_of(st.sampled_from([0.0, 1e-12, -1e-12]), st.floats(-50.0, 50.0))
+# theta = 0, the series branch, out of domain for kappa > 0, and sinh overflow
+THETA = st.one_of(st.just(0.0), st.floats(0.0, 1e-3), st.floats(0.0, 20.0),
+                  st.floats(0.0, 200.0))
+T = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestArrayEqualsScalar:
+    """An array call gives, bit for bit, the per-element scalar calls."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kappas=st.lists(KAPPA, min_size=1, max_size=6),
+           ts=st.lists(T, min_size=1, max_size=4),
+           thetas=st.lists(THETA, min_size=1, max_size=6),
+           N=st.floats(-20.0, -0.05), kappa_array=st.booleans())
+    @example(kappas=[-1e-12, 0.0, 1e-12, 4.0], ts=[0.0, 0.5, 1.0],
+             thetas=[0.0, 1e-4, 1.0, 1.6, 150.0], N=-2.0, kappa_array=True)
+    def test_array_call_equals_scalar_calls(self, kappas, ts, thetas, N, kappa_array):
+        # axes: t, x
+        t = np.array(ts)[:, None]
+        theta = np.array(thetas)
+        kappa = np.resize(kappas, theta.shape) if kappa_array else kappas[0]
+        cases = [(s, (kappa, t * theta)), (c, (kappa, t * theta)),
+                 (sigma, (kappa, t, theta)),
+                 (lambda K, tt, th: tau(K, N, tt, th), (kappa, t, theta))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn, args in cases:
+                got = fn(*args)
+                grids = np.broadcast_arrays(*args)
+                want = [fn(*map(float, point)) for point in zip(*(g.ravel() for g in grids))]
+                assert _same_bits(got, np.reshape(want, grids[0].shape))
+
+
+class TestContinuityAcrossBranches:
+    """s, c, sigma and tau follow the 50-digit oracle on both sides of
+    SERIES_THRESHOLD and of kappa = 0."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(theta=st.floats(1e-3, 10.0),
+           u=st.one_of(st.floats(0.25, 4.0), st.floats(0.0, 1e-6)),
+           sign=st.sampled_from([-1.0, 1.0]), t=st.floats(1e-3, 1.0),
+           N=st.floats(-20.0, -0.1))
+    @example(theta=1.0, u=1.0, sign=1.0, t=0.5, N=-2.0)
+    @example(theta=1.0, u=1.0, sign=-1.0, t=0.5, N=-2.0)
+    @example(theta=3.0, u=np.nextafter(1.0, 2.0), sign=-1.0, t=0.5, N=-2.0)
+    @example(theta=3.0, u=0.0, sign=-1.0, t=0.5, N=-2.0)
+    def test_matches_mpmath(self, theta, u, sign, t, N):
+        # |kappa| theta^2 = u * SERIES_THRESHOLD
+        kappa = sign * u * SERIES_THRESHOLD / theta**2
+        K = kappa * (N - 1.0)
+
+        def mp_sigma(k):
+            return mp_s(k, t * theta) / mp_s(k, theta)
+
+        n = mpmath.mpf(N)
+        mp_tau = mpmath.mpf(t) ** (1 / n) * mp_sigma(K / (N - 1.0)) ** ((n - 1) / n)
+        for got, want in ((s(kappa, theta), mp_s(kappa, theta)),
+                          (c(kappa, theta), mp_c(kappa, theta)),
+                          (sigma(kappa, t, theta), mp_sigma(kappa)),
+                          (tau(K, N, t, theta), mp_tau)):
+            assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestMonotonicity:

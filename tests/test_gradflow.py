@@ -265,6 +265,24 @@ class TestExpansionBound:
         with pytest.raises(ValueError, match=r"from t=0.5, x=0.0156.*stability limit"):
             expansion_bound(compile_expr("log(x)"), 1.0, 2.0, 0.0, -2.0, 2.0, 0.2, 0.6, 1e-2)
 
+    def test_overflowing_bound_is_trivial(self):
+        # Theta = -6.8e3: e^-Theta overflows, and the bound is +inf
+        rep = expansion_bound(compile_expr("log(x)"), 1.0, 2.0, 0.0, -2.0, 100.0,
+                              0.2, 0.5, 1e-2)
+        assert rep.status == "trivial"
+        assert rep.worst_margin == math.inf
+        assert "e^-Theta overflows at Theta=-6774.85" in rep.note
+
+    def test_large_theta_bound_is_finite(self):
+        # Theta = 1998 and t0 = t1: the bound is d0^2 e^-1998 = 0, so the
+        # margin is minus the squared distance of the curves at t = 1, where
+        # sinh(x(t)) = sinh(x0) e^-t
+        rep = expansion_bound(compile_expr("log(cosh(x))"), 0.0, 1.0, 1000.0, -2.0, 1.0,
+                              1.0, 1.0, 1e-2)
+        d = math.asinh(math.sinh(1.0) * math.exp(-1.0))
+        assert rep.worst_margin == pytest.approx(-d * d, abs=1e-9)
+        assert not rep.passed
+
     def test_constant_potential_exact(self):
         f = ScalarFunction1D.constant(0.0)
         N = -2.0

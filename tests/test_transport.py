@@ -85,6 +85,12 @@ class TestSimpsonTable:
            log_range=st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)),
            seed=st.integers(0, 2**32 - 1))
     @example(nodes=3, offset=0.0, width=1.0, zeros=0.0, log_range=(0.0, 0.0), seed=0)
+    # the smallest table with two pairs of intervals, and the largest table
+    # of the benchmark; the stride slices and the last interval depend on
+    # the parity of the node count
+    @example(nodes=5, offset=0.0, width=1.0, zeros=0.0, log_range=(-1.0, 1.0), seed=4)
+    @example(nodes=2**19 + 1, offset=-8.0, width=16.0, zeros=0.01,
+             log_range=(-300.0, 300.0), seed=5)
     @example(nodes=4, offset=0.0, width=1.0, zeros=0.5, log_range=(-300.0, 300.0), seed=1)
     @example(nodes=8192, offset=-5.0, width=10.0, zeros=0.1, log_range=(-300.0, 300.0),
              seed=2)
