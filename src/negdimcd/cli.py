@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import convexity, geometry, gradflow, transport
+from .comparison import negative_n
 from .expr import compile_expr
 from .functions import ScalarFunction1D
 from .quadrature import QuadratureError
@@ -111,9 +112,10 @@ def _load_config(path: str) -> configparser.ConfigParser:
 
 
 def _negative_n(value: float, key: str) -> float:
-    if not -math.inf < value < 0:
-        raise ConfigError(f"{key}: N must be negative and finite, got {value!r}")
-    return value
+    try:
+        return negative_n(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +276,8 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     cert = geometry.min_ricci_n(space, N,
                                 convexity.interior_grid(space.interval, grid_n, 1e-3))
     records = [Record("geometry/min-ricci", f"N={N};grid={grid_n}", cert.K, True)]
-    u_expr = _get(cfg, "params", "u", "x")
     var = "theta" if isinstance(space, geometry.RotSphere) else "x"
+    u_expr = _get(cfg, "params", "u", "cos(theta)" if var == "theta" else "x")
     u = compile_expr(u_expr, var=var)
     rep = geometry.bochner_margin(space, u, N,
                                   convexity.interior_grid(space.interval, 64, 1e-3),

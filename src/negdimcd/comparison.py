@@ -5,7 +5,8 @@ c(0)=1, c'(0)=0.  The ratios ``sigma`` and ``tau`` are the distortion
 coefficients used throughout the convexity and transport checkers; both obey
 extended-real conventions (``t=0``, ``theta=0``, out-of-domain +inf) so that
 callers never hit 0/0 or domain errors.  All functions accept floats or numpy
-arrays and are pure.
+arrays and are pure.  ``negative_n`` and ``segment_limit`` state, for every
+module, the range of N and the segment length the K < 0 inequalities control.
 """
 
 from __future__ import annotations
@@ -97,6 +98,20 @@ def sigma(kappa, t, theta):
     return float(out) if out.ndim == 0 else out
 
 
+def negative_n(N):
+    """N when -inf < N < 0, the range of the dimension parameter that every
+    checker takes; else ValueError."""
+    if not -math.inf < N < 0:
+        raise ValueError(f"N must be negative and finite, got {N!r}")
+    return N
+
+
+def segment_limit(K, N):
+    """Length pi*sqrt(N/K) below which the (K, N) inequalities with N < 0
+    control a segment when K < 0; +inf when K >= 0."""
+    return math.pi * math.sqrt(N / K) if K < 0 else math.inf
+
+
 def _pow_inv(x, exponent):
     # x**exponent for x > 0 via exp(exponent*log x); avoids real-power
     # ambiguity for the fractional negative exponents used with N < 0.
@@ -106,11 +121,10 @@ def _pow_inv(x, exponent):
 def tau(K, N, t, theta):
     """Dimensional distortion coefficient t^(1/N) * sigma_{K/(N-1)}^(t)(theta)^((N-1)/N).
 
-    Requires N < 0.  Conventions: tau = 0 at t = 0, and +inf once K < 0 and
-    theta >= pi*sqrt((N-1)/K).
+    Requires -inf < N < 0.  Conventions: tau = 0 at t = 0, and +inf once
+    K < 0 and theta >= pi*sqrt((N-1)/K).
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     K = np.asarray(K, dtype=float)
     t, theta = _t_and_theta(t, theta)
     sig = np.asarray(sigma(K / (N - 1.0), t, theta))

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .comparison import c, s, sigma
+from .comparison import c, negative_n, s, segment_limit, sigma
 from .functions import ScalarFunction1D, exp_transform
 from .report import CheckReport
 
@@ -49,17 +49,14 @@ class ConvexityParams:
     domain: Tuple[float, float]
 
     def __post_init__(self):
-        if not -math.inf < self.N < 0:
-            raise ValueError("N must be negative and finite")
+        negative_n(self.N)
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError("domain must be a nonempty open interval")
 
     def radius_limit(self) -> float:
         """Largest admissible segment length (pi*sqrt(N/K) when K < 0)."""
-        if self.K < 0:
-            return math.pi * math.sqrt(self.N / self.K)
-        return math.inf
+        return segment_limit(self.K, self.N)
 
 
 def interior_grid(domain: Tuple[float, float], n: int,
@@ -184,8 +181,7 @@ def sum_rule(K1: float, N1: float, K2: float, N2: float) -> Tuple[float, float]:
 def mono_rule(K: float, N: float, K_new: float, N_new: float) -> bool:
     """Whether (K, N)-convexity with N < 0 implies (K_new, N_new)-convexity:
     true iff K_new <= K and N_new in [N, 0)."""
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     return K_new <= K and N <= N_new < 0
 
 
@@ -197,8 +193,7 @@ def example_function(kind: str, K: float, N: float) -> Tuple[ScalarFunction1D, T
     kind "c": -N*log(x) on (0, inf), K = 0.
     kind "d": -N*log(cos(x*sqrt(K/N))) on (-L, L), L = (pi/2)*sqrt(N/K), K < 0.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     if kind == "a":
         if not K > 0:
             raise ValueError("kind 'a' requires K > 0")

@@ -15,6 +15,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
+from .comparison import negative_n
 from .convexity import bakry_emery, interior_grid
 from .functions import ScalarFunction1D
 from .report import CheckReport
@@ -47,6 +48,12 @@ class WeightedLine:
 
     interval: Tuple[float, float]
     psi: ScalarFunction1D
+
+    def __post_init__(self):
+        lo, hi = self.interval
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"line interval {self.interval!r} is not a finite "
+                             "interval lo < hi")
 
 
 @dataclass(frozen=True)
@@ -136,8 +143,7 @@ def ricci_n(space: WeightedSpace, point, N: float, direction=0.0):
     = pi/2 are the extreme values.  ``point`` and ``direction`` may be arrays
     that broadcast together.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     psi = space.psi
     if isinstance(space, WeightedLine):
         return _scalar(bakry_emery(psi, N - 1.0, point))
@@ -158,19 +164,18 @@ class CurvatureCertificate:
     inf_location: Tuple[float, ...]
 
 
-def min_ricci_n(space: WeightedSpace, N: float, grid: Sequence[float],
-                directions: Sequence[float] | None = None) -> CurvatureCertificate:
+def min_ricci_n(space: WeightedSpace, N: float,
+                grid: Sequence[float]) -> CurvatureCertificate:
     """Grid infimum of ricci_n; records the argmin (point, direction).
 
-    NaN values are skipped; with no other value K is +inf at no location.
+    On the sphere the form is linear in cos^2(direction), so the directions
+    0 and pi/2 are the extremes.  NaN values are skipped; with no other
+    value K is +inf at no location.
     """
-    if isinstance(space, WeightedLine):
-        dirs = np.zeros(1)
-    else:
-        # the form is linear in cos^2(direction): endpoints are the extremes
-        dirs = np.asarray(directions if directions is not None
-                          else [0.0, math.pi / 2.0], dtype=float)
     x = np.asarray(grid, dtype=float)
+    if x.size == 0:
+        raise ValueError("min_ricci_n needs at least one grid point, got 0")
+    dirs = np.array([0.0] if isinstance(space, WeightedLine) else [0.0, math.pi / 2.0])
     vals = ricci_n(space, x[:, None], N, dirs[None, :])
     vals = np.where(np.isnan(vals), math.inf, vals)
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
@@ -207,8 +212,7 @@ def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
     assembled from the first and second derivatives of u and psi; the third
     derivative of u uses a fourth-order central stencil of step 1e-3.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     psi = space.psi
     x = np.asarray(grid, dtype=float)
     up, upp = u.deriv(x), u.deriv2(x)
@@ -283,8 +287,10 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
     hypothesis of the bound.  K <= 0 makes the bound vacuous; an eigenvalue
     shift above ``tol`` under mesh halving is reported inconclusive.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
+    if mesh_size < 4:
+        # the half mesh needs two cells for a second eigenvalue
+        raise ValueError(f"mesh_size must be at least 4, got {mesh_size!r}")
     K = min_ricci_n(space, N, interior_grid(space.interval, 400)).K
     lam_half = _radial_lambda1(space, mesh_size // 2)
     lam = _radial_lambda1(space, mesh_size)
@@ -339,19 +345,18 @@ def product_certificate(cert1: Tuple[float, float], cert2: Tuple[float, float],
 def product_direction_check(psi1: ScalarFunction1D, psi2: ScalarFunction1D,
                             N1: float, N2: float,
                             x_grid: Sequence[float], y_grid: Sequence[float],
-                            n_directions: int = 100,
                             tol: float = 1e-9) -> CheckReport:
     """Pointwise superadditivity of Ric_N on a product of two weighted lines.
 
     For unit v = (cos a, sin a) the margin is
-    Ric_{N1+N2}(v) - Ric_{N1}(v1) - Ric_{N2}(v2), evaluated over the
-    direction grid; nonnegativity is what the product rule rests on.
+    Ric_{N1+N2}(v) - Ric_{N1}(v1) - Ric_{N2}(v2), evaluated at 100 evenly
+    spaced a in [0, pi/2]; nonnegativity is what the product rule rests on.
     """
     N = N1 + N2
     # axes: x, y, direction
     x = np.asarray(x_grid, dtype=float)[:, None, None]
     y = np.asarray(y_grid, dtype=float)[None, :, None]
-    a = np.linspace(0.0, math.pi / 2.0, n_directions)[None, None, :]
+    a = np.linspace(0.0, math.pi / 2.0, 100)[None, None, :]
     p1, h1 = psi1.deriv(x), psi1.deriv2(x)
     p2, h2 = psi2.deriv(y), psi2.deriv2(y)
     r1 = h1 - _grad_correction(p1, N1 - 1.0)

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .comparison import s
+from .comparison import negative_n, s, segment_limit
 from .functions import ScalarFunction1D, exp_transform
 from .report import CheckReport
 
@@ -72,13 +72,6 @@ class GradientCurve:
             raise ValueError(f"time {t!r} is not on the curve grid")
         return i
 
-    def to_text(self) -> str:
-        """Plain-text table (time, coordinate) for plotting."""
-        lines = ["# time\tx"]
-        for t, x in zip(self.times, self.points):
-            lines.append(f"{t!r}\t{x!r}")
-        return "\n".join(lines) + "\n"
-
 
 def _rk4_step(f: ScalarFunction1D, x: float, h: float, lo: float, hi: float):
     """One RK4 step of xi' = -f'(xi) from x: (endpoint, "") when it is a
@@ -111,8 +104,10 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
     stability limit, or a stage point or the endpoint outside the domain.
     A stop before the first step raises ValueError with that note.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step!r}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon!r}")
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
@@ -167,11 +162,10 @@ def verify_edi(curve: GradientCurve, f: ScalarFunction1D, t_from: float,
 
 
 def _check_radius(dists: np.ndarray, K: float, N: float) -> None:
-    if K < 0:
-        limit = math.pi * math.sqrt(N / K)
-        if np.any(dists >= limit):
-            raise ValueError(
-                f"distance to the reference point reaches pi*sqrt(N/K)={limit!r}")
+    limit = segment_limit(K, N)
+    if np.any(dists >= limit):
+        raise ValueError(
+            f"distance to the reference point reaches pi*sqrt(N/K)={limit!r}")
 
 
 def _sq_dist_halves(dists, K: float, N: float):
@@ -209,8 +203,7 @@ def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
     is tol plus the discretization allowance 5*step*L_loc, where L_loc is the
     largest sampled gradient magnitude.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     fN = exp_transform(f, N)
     dists = np.abs(curve.points - z)
     _check_radius(dists, K, N)
@@ -247,8 +240,7 @@ def verify_evi_integrated(curve: GradientCurve, f: ScalarFunction1D, K: float,
              - e^{K(t1-t0)} s_{K/N}(d(xi(t1),z)/2)^2
              + s_{K/N}(d(xi(t0),z)/2)^2.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     if not 0 <= t0 <= t1:
         raise ValueError("need 0 <= t0 <= t1")
     i0, i1 = curve.index_at(t0), curve.index_at(t1)
@@ -279,8 +271,7 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
     N(1-e^{K(t0-t1)})/(2K) * (1 - f_N(xi(t0))/inf f_N); requires a finite
     lower bound inf_f of the potential.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     fN = exp_transform(f, N)
     if mode == "regularity":
         if z is None or t is None:
@@ -321,8 +312,7 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
     before max(t0, t1) is rejected with its note.  Where e^{-Theta}
     overflows, the bound is +inf and so is the margin, with a note.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     if t0 < 0 or t1 < 0:
         raise ValueError("times must be nonnegative")
     horizon = max(t0, t1, step)
@@ -354,8 +344,7 @@ def claim_convexity_margin(f: ScalarFunction1D, K: float, N: float, L: float,
                            grid: Sequence[float], tol: float = 1e-9) -> CheckReport:
     """Plain (K + L^2/N)-convexity implied by the dimensional bound plus the
     gradient bound |f'| <= L: margin(x) = f''(x) - K - L^2/N."""
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     x = np.asarray(grid, dtype=float)
     return CheckReport.from_margins("claim-convexity", f.deriv2(x) - (K + L * L / N),
                                     x, tol)

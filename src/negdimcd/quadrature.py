@@ -7,7 +7,9 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadratureResult", "gl_nodes", "fixed_gl", "integrate"]
+__all__ = ["QuadratureError", "QuadratureResult", "gl_nodes", "integrate", "MAX_DOUBLINGS"]
+
+MAX_DOUBLINGS = 6
 
 
 class QuadratureError(RuntimeError):
@@ -30,11 +32,6 @@ def gl_nodes(a: float, b: float, n: int, panels: int = 1):
     return nodes, weights
 
 
-def fixed_gl(fn, a: float, b: float, n: int, panels: int = 1) -> float:
-    nodes, weights = gl_nodes(a, b, n, panels)
-    return float(np.sum(weights * np.asarray(fn(nodes), dtype=float)))
-
-
 @dataclass
 class QuadratureResult:
     value: float
@@ -44,21 +41,26 @@ class QuadratureResult:
 
 
 def integrate(fn, a: float, b: float, n0: int = 64, panels: int = 4,
-              rtol: float = 1e-11, atol: float = 1e-13,
-              max_doublings: int = 6, strict: bool = True):
-    """Integrate fn over [a, b], doubling the number of n0-point panels
-    until stable; the Gauss order never grows past ``n0``.
+              rtol: float = 1e-11, atol: float = 1e-13, strict: bool = True):
+    """Integrate fn over [a, b], doubling the number of n0-point panels up
+    to ``MAX_DOUBLINGS`` times until stable; the Gauss order never grows
+    past ``n0``.
 
     Returns a QuadratureResult; with ``strict`` a failure to converge raises
     QuadratureError instead of returning an unconverged value.
     """
     if not b > a:
         raise ValueError("need b > a")
-    prev = fixed_gl(fn, a, b, n0, panels)
+
+    def rule(panels):
+        nodes, weights = gl_nodes(a, b, n0, panels)
+        return float(np.sum(weights * np.asarray(fn(nodes), dtype=float)))
+
+    prev = rule(panels)
     evals = n0 * panels
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         panels *= 2
-        cur = fixed_gl(fn, a, b, n0, panels)
+        cur = rule(panels)
         evals += n0 * panels
         err = abs(cur - prev)
         if err <= atol + rtol * abs(cur):
@@ -66,6 +68,6 @@ def integrate(fn, a: float, b: float, n0: int = 64, panels: int = 4,
         prev = cur
     if strict:
         raise QuadratureError(
-            f"integral did not stabilize after {max_doublings} doublings "
+            f"integral did not stabilize after {MAX_DOUBLINGS} doublings "
             f"(last delta {err!r})")
     return QuadratureResult(cur, err, False, evals)

@@ -21,10 +21,10 @@ import numpy as np
 
 from .comparison import c as comp_c
 from .comparison import s as comp_s
-from .comparison import sigma, tau
+from .comparison import negative_n, segment_limit, sigma, tau
 from .convexity import interior_grid
 from .geometry import WeightedLine
-from .quadrature import QuadratureError, gl_nodes, integrate
+from .quadrature import gl_nodes, integrate
 from .report import CheckReport
 
 __all__ = [
@@ -163,10 +163,9 @@ class Density1D:
         return gl_nodes(a + delta, b - delta, n, panels)
 
 
-def gaussian_density(mean: float, sd: float, radius: float = 8.0,
-                     quad_nodes: int = 8192) -> Density1D:
-    """Normal density truncated at ``radius`` standard deviations (default
-    tail mass below 1e-14, within the exact-mass tolerance)."""
+def gaussian_density(mean: float, sd: float, quad_nodes: int = 8192) -> Density1D:
+    """Normal density truncated at 8 standard deviations (tail mass below
+    1e-14, within the exact-mass tolerance)."""
     if sd <= 0:
         raise ValueError("sd must be positive")
     norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
@@ -179,7 +178,7 @@ def gaussian_density(mean: float, sd: float, radius: float = 8.0,
         z = (np.asarray(x, dtype=float) - mean) / sd
         return -norm * z / sd * np.exp(-0.5 * z * z)
 
-    return Density1D(support=(mean - radius * sd, mean + radius * sd),
+    return Density1D(support=(mean - 8.0 * sd, mean + 8.0 * sd),
                      pdf=pdf, d_pdf=d_pdf, quad_nodes=quad_nodes,
                      name=f"normal({mean},{sd})")
 
@@ -200,13 +199,9 @@ def uniform_density(a: float, b: float, quad_nodes: int = 2048) -> Density1D:
                      quad_nodes=quad_nodes, name=f"uniform({a},{b})")
 
 
-def reference_density(space: WeightedLine,
-                      require_probability: bool = True) -> Density1D:
-    """The reference measure exp(-psi) dx of a weighted line as a Density1D.
-
-    With ``require_probability`` the total mass must already be 1 (within the
-    density-mass tolerance); otherwise the density is normalized.
-    """
+def reference_density(space: WeightedLine) -> Density1D:
+    """The reference measure exp(-psi) dx of a weighted line as a Density1D;
+    its total mass must be 1 within the density-mass tolerance."""
     psi = space.psi
 
     def pdf(x):
@@ -215,34 +210,17 @@ def reference_density(space: WeightedLine,
     def d_pdf(x):
         return -np.asarray(psi.deriv(x), dtype=float) * pdf(x)
 
-    return Density1D(support=space.interval, pdf=pdf, d_pdf=d_pdf,
-                     normalize=not require_probability, name="reference")
+    return Density1D(support=space.interval, pdf=pdf, d_pdf=d_pdf, name="reference")
 
 
-def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000,
-       rtol: float | None = None) -> float:
-    """Quadratic Wasserstein distance via quantile quadrature.
-
-    With ``rtol`` set, the node count is doubled once and a relative shift
-    beyond rtol raises QuadratureError (inconclusive quadrature).
-    """
-
-    def value(n):
-        # composite rule: a cached low-order panel rule scales to large n,
-        # unlike a single Gauss rule of order n
-        order = min(n, 50)
-        u, wts = gl_nodes(0.0, 1.0, order, panels=max(1, n // order))
-        dq = np.asarray(mu0.quantile(u), dtype=float) - np.asarray(mu1.quantile(u), dtype=float)
-        return math.sqrt(max(float(np.sum(wts * dq * dq)), 0.0))
-
-    v = value(n_nodes)
-    if rtol is not None:
-        v2 = value(2 * n_nodes)
-        if abs(v2 - v) > rtol * max(1.0, abs(v2)):
-            raise QuadratureError(
-                f"w2 shifted by {abs(v2 - v)!r} under node doubling")
-        return v2
-    return v
+def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
+    """Quadratic Wasserstein distance via quantile quadrature."""
+    # composite rule: a cached low-order panel rule scales to large n,
+    # unlike a single Gauss rule of order n
+    order = min(n_nodes, 50)
+    u, wts = gl_nodes(0.0, 1.0, order, panels=max(1, n_nodes // order))
+    dq = np.asarray(mu0.quantile(u), dtype=float) - np.asarray(mu1.quantile(u), dtype=float)
+    return math.sqrt(max(float(np.sum(wts * dq * dq)), 0.0))
 
 
 @dataclass
@@ -307,8 +285,7 @@ def _weighted_density_values(mu: Density1D, space: WeightedLine, x) -> np.ndarra
 
 def renyi_entropy(mu: Density1D, space: WeightedLine, N: float) -> float:
     """S_N = int rho^{(N-1)/N} dm with rho = d(mu)/dm, by adaptive quadrature."""
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     p = (N - 1.0) / N
 
     def integrand(x):
@@ -361,8 +338,7 @@ def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
     dimensional coefficients, mode "CDstar" the plain ratio coefficients; an
     out-of-domain (+inf) coefficient marks that (t, N') trivially true.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     if mode not in ("CD", "CDstar"):
         raise ValueError("mode must be 'CD' or 'CDstar'")
     n_primes = list(n_prime_list) if n_prime_list is not None else [N]
@@ -405,8 +381,7 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
     with v = T(x) - x and J_t = ``GeodesicPath.jacobian``, at 64 evenly spaced
     x in the source support less 1e-6 of its length at each end.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     path = GeodesicPath(mu0, mu1)
     xs = interior_grid(mu0.support, 64)
     if np.any(path.d_map(xs) <= 0):
@@ -441,8 +416,7 @@ def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
     m[A0]^{1/N}, m[A1]^{1/N} against m[A_t]^{1/N} (a lower bound on m[A_t]
     since N < 0).
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     if mode not in ("BM", "BMstar"):
         raise ValueError("mode must be 'BM' or 'BMstar'")
     a0, b0 = A0
@@ -481,8 +455,7 @@ def check_entropic_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D,
     In one dimension the monotone geodesic is unique, so the plain and strong
     forms of this convexity coincide.
     """
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     W = w2(mu0, mu1)
     path = GeodesicPath(mu0, mu1)
     xs, meas = _source_nodes(mu0)
@@ -502,10 +475,9 @@ def hwi_check(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
               N: float, tol: float = 1e-8) -> CheckReport:
     """Dimensional HWI margin:
     E_N(mu1)/E_N(mu0) - c_{K/N}(W) - s_{K/N}(W)/N * sqrt(I(mu0))."""
-    if not N < 0:
-        raise ValueError("N must be negative")
+    negative_n(N)
     W = w2(mu0, mu1)
-    if K < 0 and W > math.pi * math.sqrt(N / K):
+    if W > segment_limit(K, N):
         raise ValueError("W2 exceeds pi*sqrt(N/K); inequality not applicable")
     ent0 = relative_entropy(mu0, space)
     ent1 = relative_entropy(mu1, space)
@@ -522,8 +494,9 @@ def talagrand_check(space: WeightedLine, mu: Density1D, K: float, N: float,
                     tol: float = 1e-8) -> CheckReport:
     """Transport-entropy margin Ent(mu) + N log cosh(sqrt(-K/N) W2(m, mu));
     needs K > 0 and a probability reference measure."""
-    if not (K > 0 and N < 0):
-        raise ValueError("need K > 0 and N < 0")
+    negative_n(N)
+    if not K > 0:
+        raise ValueError("need K > 0")
     ref = reference_density(space)
     W = w2(ref, mu)
     ent = relative_entropy(mu, space)
@@ -539,8 +512,9 @@ def log_sobolev_check(space: WeightedLine, mu: Density1D, K: float, N: float,
     Only admissible measures are constrained: admissibility requires
     c_{K/N}(W) + s_{K/N}(W)/N * sqrt(I) > 0, otherwise the claim is vacuous.
     """
-    if not (K > 0 and N < 0):
-        raise ValueError("need K > 0 and N < 0")
+    negative_n(N)
+    if not K > 0:
+        raise ValueError("need K > 0")
     ref = reference_density(space)
     W = w2(ref, mu)
     ent = relative_entropy(mu, space)

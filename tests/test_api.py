@@ -1,0 +1,75 @@
+"""The public surface: the one range of N every checker takes, and the README
+tour, which must run as written."""
+
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import negdimcd as nd
+from negdimcd.comparison import negative_n
+
+from conftest import quadratic
+
+ROOT = Path(__file__).resolve().parents[1]
+
+F = quadratic(1.0)
+LINE = nd.gaussian_line(1.0)
+CURVE = nd.integrate_flow(F, 1.0, 0.5, 1e-2)
+MU0, MU1 = nd.gaussian_density(0.0, 1.0, quad_nodes=64), nd.gaussian_density(0.5, 1.0, quad_nodes=64)
+
+# Every public function that takes N, with arguments that are valid at N = -2.
+# Left out: geodesic_margin, exp_transform and bakry_emery, which are formulas
+# for any N != 0 (the sum-rule counterexamples use N > 0, and bakry_emery at
+# N = -inf is its limit f''); and the calculus of parameters (scale_shift,
+# sum_rule, weighted_sum_certificate, product_certificate,
+# product_direction_check), which has its own rules for each dimension.
+CHECKERS = {
+    "tau": lambda N: nd.tau(1.0, N, 0.5, 1.0),
+    "ConvexityParams": lambda N: nd.ConvexityParams(1.0, N, (-1.0, 1.0)),
+    "mono_rule": lambda N: nd.mono_rule(1.0, N, 0.0, -1.0),
+    "example_function": lambda N: nd.example_function("a", 1.0, N),
+    "ricci_n": lambda N: nd.ricci_n(LINE, 0.5, N),
+    "min_ricci_n": lambda N: nd.min_ricci_n(LINE, N, [0.0, 1.0]),
+    "bochner_margin": lambda N: nd.bochner_margin(LINE, F, N, [0.5]),
+    "lichnerowicz": lambda N: nd.lichnerowicz(LINE, N, mesh_size=8),
+    "verify_evi": lambda N: nd.verify_evi(CURVE, F, 0.0, N, 0.0),
+    "verify_evi_integrated": lambda N: nd.verify_evi_integrated(CURVE, F, 0.0, N, 0.0,
+                                                                0.1, 0.3),
+    "regularizing_bounds": lambda N: nd.regularizing_bounds(CURVE, F, 0.0, N, "regularity",
+                                                            z=0.0, t=0.2),
+    "expansion_bound": lambda N: nd.expansion_bound(F, 1.0, 2.0, 0.0, N, 3.0, 0.1, 0.2,
+                                                    1e-2),
+    "claim_convexity_margin": lambda N: nd.claim_convexity_margin(F, 0.0, N, 1.0, [0.5]),
+    "renyi_entropy": lambda N: nd.renyi_entropy(MU0, LINE, N),
+    "check_cd": lambda N: nd.check_cd(LINE, MU0, MU1, 1.0, N, [0.5]),
+    "check_jacobian_convexity": lambda N: nd.check_jacobian_convexity(LINE, MU0, MU1, 1.0,
+                                                                      N, [0.5]),
+    "brunn_minkowski": lambda N: nd.brunn_minkowski(LINE, (0.0, 1.0), (1.0, 2.0), 0.5,
+                                                    1.0, N),
+    "check_entropic_cd": lambda N: nd.check_entropic_cd(LINE, MU0, MU1, 1.0, N, [0.5]),
+    "hwi_check": lambda N: nd.hwi_check(LINE, MU0, MU1, 1.0, N),
+    "talagrand_check": lambda N: nd.talagrand_check(LINE, MU1, 1.0, N),
+    "log_sobolev_check": lambda N: nd.log_sobolev_check(LINE, MU1, 1.0, N),
+}
+
+
+class TestRangeOfN:
+    @pytest.mark.parametrize("N", [-math.inf, math.nan, 0.0, 1.0])
+    @pytest.mark.parametrize("name", sorted(CHECKERS))
+    def test_every_checker_rejects_n_outside_the_negative_reals(self, name, N):
+        with pytest.raises(ValueError, match="N must be negative and finite"):
+            CHECKERS[name](N)
+
+    def test_the_validator_returns_n_and_names_it(self):
+        assert negative_n(-2.5) == -2.5
+        with pytest.raises(ValueError, match=r"N must be negative and finite, got -inf$"):
+            negative_n(-math.inf)
+
+
+def test_readme_tour_runs():
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -309,6 +309,63 @@ class TestSpaceKinds:
         lambda1 = float(rows["geometry/spectral-gap"][1].split("lambda1=")[1].split(";")[0])
         assert lambda1 == pytest.approx((math.pi / 3.0) ** 2, abs=1e-6)
 
+    @pytest.mark.parametrize("suite, space, interval", [
+        ("geometry", "kind = lebesgue\ninterval = 3 1", (3.0, 1.0)),
+        ("geometry", "kind = gaussian\nradius = -1", (1.0, -1.0)),
+        ("transport", "kind = gaussian\nradius = 0", (-0.0, 0.0)),
+    ], ids=["reversed-interval", "negative-radius", "zero-radius"])
+    def test_empty_line_is_an_error_line(self, tmp_path, capsys, suite, space, interval):
+        # each wrote true records on an interval of length <= 0
+        cfg = write_cfg(tmp_path / "e.cfg", f"""
+[run]
+suite = {suite}
+
+[space]
+{space}
+
+[mu0]
+kind = gaussian
+
+[mu1]
+kind = gaussian
+mean = 0.5
+
+[params]
+K = 1
+N = -2
+checks = cd
+""")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: line interval {interval!r} is not a finite interval lo < hi\n")
+        assert not (tmp_path / "o").exists()
+
+
+SPHERE_CFG = (ROOT / "configs" / "geometry-sphere.cfg").read_text(encoding="utf-8")
+
+
+class TestGeometryParams:
+    def test_sphere_u_defaults_to_cos_theta(self, tmp_path):
+        assert "u = cos(theta)\n" in SPHERE_CFG
+        for name, text in (("shipped", SPHERE_CFG),
+                           ("bare", SPHERE_CFG.replace("u = cos(theta)\n", ""))):
+            cfg = write_cfg(tmp_path / f"{name}.cfg", text)
+            assert main(["run", cfg, "--out-dir", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "bare" / "records.csv").read_bytes()
+                == (tmp_path / "shipped" / "records.csv").read_bytes())
+
+    @pytest.mark.parametrize("edit, message", [
+        *[(f"mesh = {m}", f"mesh_size must be at least 4, got {m}")
+          for m in (0, 1, -5, 2, 3)],
+        ("mesh = 2000\ngrid = 0", "min_ricci_n needs at least one grid point, got 0"),
+    ], ids=["mesh0", "mesh1", "mesh-5", "mesh2", "mesh3", "grid0"])
+    def test_small_mesh_or_grid_is_an_error_line(self, tmp_path, capsys, edit, message):
+        # tracebacks before: ZeroDivisionError, IndexError, scipy's
+        # select_range out of bounds, numpy's argmin of an empty sequence
+        cfg = write_cfg(tmp_path / "g.cfg", SPHERE_CFG.replace("mesh = 2000", edit))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestConfigSyntax:
     @pytest.mark.parametrize("text, message", [

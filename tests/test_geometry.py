@@ -269,13 +269,11 @@ class TestCertificateCalculus:
         psi2 = ScalarFunction1D.constant(0.0)
         rep = product_direction_check(psi1, psi2, -4.0, 1.0,
                                       np.linspace(-2.0, 2.0, 9),
-                                      np.linspace(-2.0, 2.0, 9),
-                                      n_directions=100)
+                                      np.linspace(-2.0, 2.0, 9))
         assert rep.passed
         # and a genuinely weighted second factor
         psi2 = from_sympy(x**2 / 2, x)
         rep = product_direction_check(psi1, psi2, -6.0, 2.0,
                                       np.linspace(-2.0, 2.0, 7),
-                                      np.linspace(-2.0, 2.0, 7),
-                                      n_directions=60)
+                                      np.linspace(-2.0, 2.0, 7))
         assert rep.passed

@@ -49,6 +49,17 @@ class TestIntegrator:
         curve = integrate_flow(quadratic(1.0), 1.0, 2.0, 2e-3, domain=(-3.0, 3.0))
         assert curve.note == ""
 
+    @pytest.mark.parametrize("horizon, step, message", [
+        (math.inf, 1e-2, "horizon must be finite, got inf"),
+        (math.nan, 1e-2, "horizon must be finite, got nan"),
+        (1.0, math.inf, "step must be positive and finite, got inf"),
+        (1.0, math.nan, "step must be positive and finite, got nan"),
+    ])
+    def test_nonfinite_horizon_or_step_rejected(self, horizon, step, message):
+        # round(inf / step) raised OverflowError before any step was taken
+        with pytest.raises(ValueError, match=message):
+            integrate_flow(quadratic(1.0), 1.0, horizon, step)
+
     def test_blowup_truncates_with_note(self):
         # x(t) = e^{2t} passes the gradient cap 1e8 between t = 8.87 and 8.88
         steep = ScalarFunction1D(
@@ -65,12 +76,6 @@ class TestIntegrator:
         curve = integrate_flow(compile_expr("log(cosh(x))"), x0, 2.0, 1e-2)
         err = np.sinh(curve.points) - math.sinh(x0) * np.exp(-curve.times)
         assert curve.note == "" and np.max(np.abs(err)) <= 3e-11
-
-    def test_text_export(self, quad_flow):
-        table = quad_flow.to_text()
-        lines = table.strip().splitlines()
-        assert lines[0].startswith("#")
-        assert len(lines) == len(quad_flow) + 1
 
 
 class TestStopRule:

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from negdimcd import quadrature
-from negdimcd.quadrature import QuadratureError, integrate
+from negdimcd.quadrature import MAX_DOUBLINGS, QuadratureError, integrate
 
 
 def test_evaluation_count_formula():
     # n0 * panels * (2**(d + 1) - 1) evaluations after d doublings
     res = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, n0=8, panels=2,
-                    max_doublings=3, strict=False)
-    assert res.n_evaluations == 8 * 2 * (2 ** 4 - 1)
+                    strict=False)
+    assert not res.converged
+    assert res.n_evaluations == 8 * 2 * (2 ** (MAX_DOUBLINGS + 1) - 1)
 
 
 def test_gauss_order_never_grows(monkeypatch):

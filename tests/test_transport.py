@@ -30,14 +30,16 @@ from negdimcd import (
     uniform_density,
     w2,
 )
-from negdimcd.quadrature import QuadratureError
 from negdimcd.transport import _simpson_cdf
 
 
 class TestDensity1D:
     def test_mass_tolerance_enforced(self):
+        # a normal density cut at 4 sd misses mass 6.3e-5
+        from negdimcd import Density1D
+        pdf = lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2) / math.sqrt(2.0 * math.pi)
         with pytest.raises(ValueError, match="mass"):
-            gaussian_density(0.0, 1.0, radius=4.0)
+            Density1D(support=(-4.0, 4.0), pdf=pdf)
 
     def test_quantile_cdf_roundtrip(self):
         mu = gaussian_density(0.3, 1.2)
@@ -61,8 +63,11 @@ class TestDensity1D:
     def test_normalize_scales_the_derivative(self):
         # the Fisher information of a measure against itself is 0; an
         # unscaled d_pdf made it 17.79 here
+        from negdimcd import Density1D
         space = power_weight_line(-3.0, 0.5, 8.0)
-        mu = reference_density(space, require_probability=False)
+        mu = Density1D(support=space.interval, pdf=lambda x: np.exp(-space.psi(x)),
+                       d_pdf=lambda x: -space.psi.deriv(x) * np.exp(-space.psi(x)),
+                       normalize=True)
         assert float(mu.pdf_deriv(2.0)) == pytest.approx(
             -3.0 / 2.0 * float(mu.pdf(2.0)), rel=1e-12)
         assert fisher_information(mu, space) <= 1e-20
@@ -137,14 +142,6 @@ class TestW2:
     def test_uniform_translation(self):
         assert w2(uniform_density(0.0, 1.0), uniform_density(2.0, 3.0)) == pytest.approx(
             2.0, abs=1e-10)
-
-    def test_node_doubling_control(self):
-        val = w2(gaussian_density(0.0, 1.0), gaussian_density(1.0, 1.0),
-                 n_nodes=2000, rtol=1e-6)
-        assert val == pytest.approx(1.0, abs=1e-4)
-        with pytest.raises(QuadratureError):
-            w2(gaussian_density(0.0, 1.0), gaussian_density(1.0, 1.6),
-               n_nodes=3, rtol=1e-12)
 
     def test_quantile_coupling_is_optimal(self):
         # brute-force oracle: monotone matching beats 200 random permutation
