@@ -405,7 +405,7 @@ def _run_groups(cfg, seed: int, tol: float | None) -> list[Record]:
                 if key != "suite":
                     raise ConfigError(f"[run] {key}: a group's [run] holds only suite")
             records += _run_suite(gcfg, seed, tol)
-        except (ValueError, QuadratureError) as exc:
+        except (ValueError, QuadratureError, MemoryError) as exc:
             raise ConfigError(f"group {group}: {exc}") from exc
     return records
 
@@ -516,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # as -inf, nan and pass=false
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ValueError, QuadratureError) as exc:
+    except (ValueError, QuadratureError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

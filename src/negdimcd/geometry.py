@@ -119,15 +119,12 @@ def _grad_correction(g: np.ndarray, denom: float) -> np.ndarray:
     return g * g / denom
 
 
-def _cot(theta: np.ndarray):
-    """cot(theta) and 1/sin(theta)^2 on the sphere, with the mask of points
-    within _POLE_SIN of a pole.  Both are 0 at those points: there
-    cot(theta)*g(theta) is continued by g'(theta), since a smooth radial g
-    vanishes at the poles, and its derivative by 0."""
+def _cot_times(theta: np.ndarray, g, dg):
+    """cot(theta)*g(theta) on the sphere.  Within _POLE_SIN of a pole it is
+    continued by g'(theta) = dg: a smooth radial g vanishes there."""
     st = np.sin(theta)
     pole = np.abs(st) < _POLE_SIN
-    st = np.where(pole, math.inf, st)
-    return np.cos(theta) / st, 1.0 / (st * st), pole
+    return np.where(pole, dg, np.cos(theta) / np.where(pole, math.inf, st) * g)
 
 
 def _scalar(out):
@@ -150,8 +147,7 @@ def ricci_n(space: WeightedSpace, point, N: float, direction=0.0):
     theta = np.asarray(point, dtype=float)
     ca2 = np.cos(direction) ** 2
     radial = bakry_emery(psi, N - 2.0, theta)
-    cot, _, pole = _cot(theta)
-    tangential = np.where(pole, psi.deriv2(theta), cot * psi.deriv(theta))
+    tangential = _cot_times(theta, psi.deriv(theta), psi.deriv2(theta))
     return _scalar(1.0 + ca2 * radial + (1.0 - ca2) * tangential)
 
 
@@ -193,45 +189,30 @@ def laplacian_m(space: WeightedSpace, u: ScalarFunction1D, point):
     drift = up * space.psi.deriv(x)
     if isinstance(space, WeightedLine):
         return _scalar(upp - drift)
-    cot, _, pole = _cot(x)
-    return _scalar(upp + np.where(pole, upp, cot * up) - drift)
-
-
-def _third_deriv(u: ScalarFunction1D, x: np.ndarray, h: float) -> np.ndarray:
-    # fourth-order central stencil applied to the second derivative
-    d2 = u.deriv2
-    return (-d2(x + 2 * h) + 8.0 * d2(x + h) - 8.0 * d2(x - h) + d2(x - 2 * h)) / (12.0 * h)
+    return _scalar(upp + _cot_times(x, up, upp) - drift)
 
 
 def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
                    grid: Sequence[float], tol: float = 1e-8) -> CheckReport:
-    """Margin of the dimensional Bochner inequality at each grid point.
+    """Margin Gamma_2(u) - Ric_N(grad u) - (L_m u)^2 / N of the dimensional
+    Bochner inequality at each grid point.  Bochner's formula
+    Gamma_2(u) = |Hess u|^2 + Ric_inf(grad u) makes it
 
-    margin(x) = L_m(|grad u|^2/2) - <grad L_m u, grad u>
-                - Ric_N(grad u) - (L_m u)^2 / N,
-    assembled from the first and second derivatives of u and psi; the third
-    derivative of u uses a fourth-order central stencil of step 1e-3.
+    |Hess u|^2 + (Ric_inf - Ric_N) u'^2 - (L_m u)^2 / N,
+
+    with |Hess u|^2 = u''^2 and Ric_inf = psi'' on a line, plus
+    (cot(theta) u')^2 and 1 on the sphere: no third derivative enters.
     """
     negative_n(N)
-    psi = space.psi
     x = np.asarray(grid, dtype=float)
     up, upp = u.deriv(x), u.deriv2(x)
-    uppp = _third_deriv(u, x, 1e-3)
-    pp, ppp = psi.deriv(x), psi.deriv2(x)
-    # g = u'^2/2 has g' = u' u'' and g'' = u''^2 + u' u'''
-    g1, g2 = up * upp, upp * upp + up * uppp
-    if isinstance(space, WeightedLine):
-        lap_u = upp - up * pp
-        lhs = g2 - g1 * pp
-        dlap = uppp - upp * pp - up * ppp
-    else:
-        cot, csc2, pole = _cot(x)
-        q = cot - pp
-        lap_u = upp + q * up + np.where(pole, upp, 0.0)
-        lhs = g2 + q * g1 + np.where(pole, g2, 0.0)
-        dlap = uppp + (-csc2 - ppp) * up + q * upp
-    lhs = lhs - up * dlap
-    margins = lhs - ricci_n(space, x, N) * up * up - lap_u * lap_u / N
+    hess2 = upp * upp
+    ric_inf = space.psi.deriv2(x)
+    if isinstance(space, RotSphere):
+        hess2 = hess2 + _cot_times(x, up, upp) ** 2
+        ric_inf = 1.0 + ric_inf
+    lap_u = laplacian_m(space, u, x)
+    margins = hess2 + (ric_inf - ricci_n(space, x, N)) * up * up - lap_u * lap_u / N
     return CheckReport.from_margins("bochner", margins, x, tol)
 
 

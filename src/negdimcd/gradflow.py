@@ -43,6 +43,7 @@ __all__ = [
 
 GRAD_CAP = 1e8      # |f'| above which a curve stops
 RK4_LIMIT = 2.785   # RK4's real-axis stability limit for step*|f''|
+MAX_STEPS = 10**6   # RK4 steps one curve may take
 
 
 @dataclass
@@ -102,7 +103,8 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
     cannot take as a descent step, and the note names t and the cause:
     |f'(x)| above ``GRAD_CAP``, step*|f''(x)| beyond RK4's real-axis
     stability limit, or a stage point or the endpoint outside the domain.
-    A stop before the first step raises ValueError with that note.
+    A stop before the first step raises ValueError with that note, and so
+    does a horizon/step above ``MAX_STEPS``.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -111,6 +113,9 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
     n_steps = int(round(horizon / step))
     if n_steps < 1:
         raise ValueError("horizon shorter than one step")
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"horizon/step = {horizon!r}/{step!r} is more than "
+                         f"{MAX_STEPS} RK4 steps")
     lo, hi = (-math.inf, math.inf) if domain is None else domain
     xs = [float(x0)]
     note = ""

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -172,6 +173,20 @@ mesh = 800
         pad = np.pi * 1e-3
         want = np.min(4.0 * np.cos(np.linspace(pad, np.pi - pad, 64)) ** 2)
         assert float(by_id["geometry/bochner"][2]) == pytest.approx(want, rel=1e-12)
+
+    def test_shipped_sphere_bochner_record_is_correctly_rounded(self, tmp_path):
+        # the record is 4 cos^2(theta) at the grid argmin, within one ulp of
+        # its value to 40 digits
+        out = tmp_path / "out"
+        assert main(["run", str(ROOT / "configs" / "geometry-sphere.cfg"),
+                     "--out-dir", str(out)]) == 0
+        _, rows = read_records(out)
+        got = float({r[0]: r for r in rows}["geometry/bochner"][2])
+        pad = np.pi * 1e-3
+        with mpmath.workdps(40):
+            want = float(min(4 * mpmath.cos(mpmath.mpf(float(theta))) ** 2
+                             for theta in np.linspace(pad, np.pi - pad, 64)))
+        assert abs(got - want) <= math.ulp(want)
 
     def test_tol_reaches_the_spectral_gap(self, tmp_path):
         # lambda1 shifts by 3.1e-6 when the mesh of 2000 cells is halved,
@@ -570,6 +585,25 @@ checks = entropic
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: integral did not stabilize after 6 doublings\n")
+
+    def test_flow_with_too_many_steps_is_an_error_line(self, tmp_path, capsys):
+        text = (ROOT / "configs" / "flow-quadratic.cfg").read_text(encoding="utf-8")
+        cfg = write_cfg(tmp_path / "f.cfg", text.replace("horizon = 2.0", "horizon = 1e9"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: horizon/step = 1000000000.0/0.001 is more than 1000000 RK4 steps\n")
+
+    @pytest.mark.parametrize("text", [
+        CONVEXITY_CFG + "grid = 1000000000000000\n",
+        CONVEXITY_CFG.replace("pairs = 25", "pairs = 1000000000000000"),
+    ])
+    def test_unallocatable_size_is_an_error_line(self, tmp_path, text):
+        # numpy raises MemoryError at once for 8 PB; no traceback follows
+        cfg = write_cfg(tmp_path / "m.cfg", text)
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestCertify:

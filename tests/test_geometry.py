@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy
@@ -205,6 +206,49 @@ class TestBochner:
             b = float(u.deriv(pt)) * float(line.psi.deriv(pt))
             slack = N * (N - 1.0) * (a / N + b / (N - 1.0)) ** 2
             assert rep.worst_margin == pytest.approx(slack, abs=1e-9)
+
+
+def _gamma2_oracle(var, u, psi, N, on_sphere):
+    """The Bochner margin from the definition of Gamma_2, with an exact u''':
+    L(u'^2/2) - u' (L u)' - Ric_N u'^2 - (L u)^2 / N, where L f is
+    f'' - psi' f', plus cot(theta) f' on the sphere."""
+    dpsi, d2psi = sympy.diff(psi, var), sympy.diff(psi, var, 2)
+    if on_sphere:
+        area, ric_n = sympy.cot(var), 1 + d2psi - dpsi**2 / (N - 2)
+    else:
+        area, ric_n = 0, d2psi - dpsi**2 / (N - 1)
+
+    def lap(f):
+        return sympy.diff(f, var, 2) + (area - dpsi) * sympy.diff(f, var)
+
+    du = sympy.diff(u, var)
+    margin = (lap(du**2 / 2) - du * sympy.diff(lap(u), var)
+              - ric_n * du**2 - lap(u) ** 2 / N)
+    return sympy.lambdify(var, margin, "mpmath")
+
+
+class TestBochnerOracle:
+    """bochner_margin by Bochner's formula equals Gamma_2 from its definition."""
+
+    @pytest.mark.parametrize("N", [-2, -5])
+    @pytest.mark.parametrize("on_sphere", [True, False], ids=["wsphere", "wline"])
+    def test_matches_the_definition(self, on_sphere, N):
+        if on_sphere:
+            var = sympy.symbols("t")
+            psi, u = sympy.Rational(3, 10) * sympy.cos(var), sympy.cos(var) + sympy.cos(2 * var)
+            space = sphere(from_sympy(psi, var))
+            grid = np.linspace(0.05, math.pi - 0.05, 41)
+        else:
+            var = sympy.symbols("x")
+            psi, u = sympy.log(sympy.cosh(var)), var**3
+            space = WeightedLine((-3.0, 3.0), from_sympy(psi, var))
+            grid = np.linspace(-2.9, 2.9, 41)
+        oracle = _gamma2_oracle(var, u, psi, sympy.Integer(N), on_sphere)
+        with mpmath.workdps(40):
+            want = [float(oracle(mpmath.mpf(float(pt)))) for pt in grid]
+        got = [bochner_margin(space, from_sympy(u, var), float(N), [pt]).worst_margin
+               for pt in grid]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestLichnerowicz:

@@ -100,11 +100,13 @@ class TestSimpsonTable:
     @example(nodes=8192, offset=-5.0, width=10.0, zeros=0.1, log_range=(-300.0, 300.0),
              seed=2)
     @example(nodes=8193, offset=-5.0, width=10.0, zeros=1.0, log_range=(0.0, 0.0), seed=3)
+    # sorted keeps (0.0, -0.0) in that order, and uniform(0.0, -0.0) raises
+    @example(nodes=3, offset=0.0, width=1.0, zeros=0.0, log_range=(0.0, -0.0), seed=0)
     def test_equals_scipy_cumulative_simpson(self, nodes, offset, width, zeros,
                                              log_range, seed):
         xs = np.linspace(offset, offset + width, nodes)
         rng = np.random.default_rng(seed)
-        lo, hi = sorted(log_range)
+        lo, hi = sorted(v + 0.0 for v in log_range)
         y = 10.0 ** rng.uniform(lo, hi, nodes)
         y[rng.random(nodes) < zeros] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
