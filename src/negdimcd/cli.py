@@ -70,6 +70,8 @@ def _record(suite: str, report: CheckReport, **params) -> Record:
 
 
 def _floats(raw: str) -> list[float]:
+    if not raw.split():
+        raise ValueError("no numbers")
     return [float(tok) for tok in raw.split()]
 
 
@@ -96,6 +98,14 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False,
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: expected {_EXPECTED[conv]}, "
                           f"got {raw!r}") from exc
+
+
+def _count(cfg, section: str, key: str, default: int) -> int:
+    """[section] key as an integer of at least 1."""
+    n = _get(cfg, section, key, default, conv=int)
+    if n < 1:
+        raise ConfigError(f"[{section}] {key} must be at least 1, got {n}")
+    return n
 
 
 def _load_config(path: str) -> configparser.ConfigParser:
@@ -217,10 +227,8 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
     N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     f, window = _function_from(cfg, "function", K, N)
     p = convexity.ConvexityParams(K, N, window)
-    n_pairs = _get(cfg, "params", "pairs", 40, conv=int)
-    if n_pairs < 1:
-        raise ConfigError(f"[params] pairs must be at least 1, got {n_pairs}")
-    grid_n = _get(cfg, "params", "grid", 200, conv=int)
+    n_pairs = _count(cfg, "params", "pairs", 40)
+    grid_n = _count(cfg, "params", "grid", 200)
     t_grid = _get(cfg, "params", "t_grid", [0.25, 0.5, 0.75], conv=_floats)
     tol = convexity.TOL_ANALYTIC if tol is None else tol
     rng = _rng(seed, "convexity-pairs")
@@ -302,6 +310,8 @@ def run_transport(cfg, seed: int, tol: float | None) -> list[Record]:
         raise ConfigError("[space] transport suite needs a line-type space")
     checks = _get(cfg, "params", "checks",
                   "cd cdstar jacobian bm entropic hwi talagrand logsobolev").split()
+    if not checks:
+        raise ConfigError("[params] checks: expected check names, got ''")
     t_grid = _get(cfg, "params", "t_grid", [0.25, 0.5, 0.75], conv=_floats)
     wanted = set(checks)
     pair = {"cd", "cdstar", "jacobian", "entropic", "hwi"}
@@ -432,7 +442,7 @@ def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
     n_values = [_negative_n(v, "[certify] N")
                 for v in _get(cfg, "certify", "N", required=True, conv=_floats)]
-    grid_n = _get(cfg, "certify", "grid", 400, conv=int)
+    grid_n = _count(cfg, "certify", "grid", 400)
     tol = args.tol if args.tol is not None else _get(cfg, "certify", "tol", 1e-9, conv=float)
     out_dir = _resolve_out_dir(args.out_dir, cfg)
     records = []

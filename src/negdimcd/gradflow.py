@@ -10,9 +10,9 @@ inequality in differential and integrated form, the regularizing
 and continuity estimates it implies, and the expansion bound for Lipschitz
 potentials.
 
-"Almost all t" statements are replaced by "all sampled interior t"; the
-differential checker adds its own discretization allowance to the tolerance
-and reports it.
+"Almost all t" statements are replaced by "all sampled interior t".  The
+differential inequality takes its time derivative from the flow equation
+xi' = -f'(xi), so it is exact at each sample and needs no allowance.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .comparison import negative_n, s, segment_limit
+from .comparison import c, negative_n, s, segment_limit
 from .functions import ScalarFunction1D, exp_transform
 from .report import CheckReport
 
@@ -84,8 +84,8 @@ def _rk4_step(f: ScalarFunction1D, x: float, h: float, lo: float, hi: float):
     if not z <= RK4_LIMIT:
         return x, f"step*|f''| = {z!r} is beyond RK4's stability limit {RK4_LIMIT!r}"
     ks = [k1]
-    for c in (0.5, 0.5, 1.0):
-        y = x + c * h * ks[-1]
+    for a in (0.5, 0.5, 1.0):
+        y = x + a * h * ks[-1]
         if not (lo <= y <= hi and math.isfinite(y)):
             return x, f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
         ks.append(-float(f.deriv(y)))
@@ -178,23 +178,11 @@ def _sq_dist_halves(dists, K: float, N: float):
     return np.asarray(s(K / N, dists / 2.0), dtype=float) ** 2
 
 
-def _evi_margins(curve, f, z, values_rhs, S, tol, name):
-    """Shared reduction: margin_i = rhs_i - dS/dt_i, at tol + 5*step*max|f'|."""
-    allowance = 5.0 * curve.step * float(np.max(local_slope(f, curve.points)))
-    signs = np.sign(curve.points - z)
-    t = curve.times
-    dplus = (S[2:] - S[1:-1]) / (t[2:] - t[1:-1])
-    dminus = (S[1:-1] - S[:-2]) / (t[1:-1] - t[:-2])
-    # where the curve crosses the reference point the derivative is
-    # one-sided: take the worse (larger) one
-    dS = np.where(signs[:-2] * signs[2:] < 0, np.maximum(dplus, dminus),
-                  (S[2:] - S[:-2]) / (t[2:] - t[:-2]))
-    margins = values_rhs[1:-1] - dS
-    times = t[1:-1]
-    return CheckReport.from_margins(
-        name, margins, times, tol + allowance,
-        note=f"discretization allowance {allowance!r} added to tolerance",
-        details={"times": times.tolist(), "margins": margins.tolist()})
+def _evi_margins(curve, margins, tol, name):
+    """Shared reduction of the margins rhs - dS/dt at the interior samples."""
+    margins, times = margins[1:-1], curve.times[1:-1]
+    return CheckReport.from_margins(name, margins, times, tol, details={
+        "times": times.tolist(), "margins": margins.tolist()})
 
 
 def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
@@ -204,29 +192,30 @@ def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
     margin(t) = (N/2)(1 - f_N(z)/f_N(xi(t)))
                 - d/dt[ s_{K/N}(d(xi(t),z)/2)^2 ] - K s_{K/N}(d(xi(t),z)/2)^2
 
-    with the time derivative by central differences.  The reported tolerance
-    is tol plus the discretization allowance 5*step*L_loc, where L_loc is the
-    largest sampled gradient magnitude.
+    with the exact time derivative from the flow equation xi' = -f'(xi):
+    d/dt s(d/2)^2 = s(d/2) c(d/2) sign(xi - z) xi'.
     """
     negative_n(N)
     fN = exp_transform(f, N)
-    dists = np.abs(curve.points - z)
+    x = curve.points
+    dists = np.abs(x - z)
     _check_radius(dists, K, N)
-    S = _sq_dist_halves(dists, K, N)
-    ratio = float(fN(z)) / np.asarray(fN(curve.points), dtype=float)
-    rhs = (N / 2.0) * (1.0 - ratio) - K * S
-    return _evi_margins(curve, f, z, rhs, S, tol, "evi")
+    sk = s(K / N, dists / 2.0)
+    dS = sk * c(K / N, dists / 2.0) * np.sign(x - z) * -f.deriv(x)
+    ratio = float(fN(z)) / np.asarray(fN(x), dtype=float)
+    rhs = (N / 2.0) * (1.0 - ratio) - K * sk**2
+    return _evi_margins(curve, rhs - dS, tol, "evi")
 
 
 def verify_evi_classical(curve: GradientCurve, f: ScalarFunction1D, K: float,
                          z: float, tol: float = 1e-6) -> CheckReport:
     """Classical (dimension-free) EVI margin, scaled by 1/2 so that it is the
-    exact limit of the dimensional margin as N -> -inf."""
-    dists = np.abs(curve.points - z)
-    S = dists**2 / 4.0
-    vals = np.asarray(f(curve.points), dtype=float)
-    rhs = 0.5 * (float(f(z)) - vals) - K * S
-    return _evi_margins(curve, f, z, rhs, S, tol, "evi-classical")
+    exact limit of the dimensional margin as N -> -inf; d/dt (xi - z)^2/4 is
+    (xi - z)/2 xi' with xi' = -f'(xi)."""
+    x = curve.points
+    dS = (x - z) / 2.0 * -f.deriv(x)
+    rhs = 0.5 * (float(f(z)) - np.asarray(f(x), dtype=float)) - K * (x - z) ** 2 / 4.0
+    return _evi_margins(curve, rhs - dS, tol, "evi-classical")
 
 
 def _expm1_over(K: float, dt: float) -> float:

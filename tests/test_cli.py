@@ -269,6 +269,10 @@ domain = -3 3
 """
 
 
+TRANSPORT_CFG = (ROOT / "configs" / "transport-gaussian.cfg").read_text(encoding="utf-8")
+TRANSPORT_CHECKS = "checks = entropic hwi talagrand logsobolev"
+
+
 class TestConfigNumbers:
     @pytest.mark.parametrize("text, edit, message", [
         (LOG_FLOW_CFG, ("K = 0", "K = zero"), "[params] K: expected a number, got 'zero'"),
@@ -281,12 +285,32 @@ class TestConfigNumbers:
          "[certify] N: expected space-separated numbers, got '-2 minus10'"),
         (LOG_FLOW_CFG, ("domain = 0.5 3", "domain = 0.5"),
          "[potential] domain: expected two numbers, got '0.5'"),
-    ], ids=["K", "step", "seed", "t_grid", "certify-N", "domain"])
+        # the grids ended with "error: no margins to reduce", and the empty
+        # lists of checks, N and z wrote records of nothing or less and exited 0
+        (CONVEXITY_CFG, ("pairs = 25", "pairs = 25\ngrid = 0"),
+         "[params] grid must be at least 1, got 0"),
+        (CERTIFY_CFG, ("N = -2 -10", "N = -2 -10\ngrid = 0"),
+         "[certify] grid must be at least 1, got 0"),
+        (CONVEXITY_CFG, ("pairs = 25", "pairs = 25\nt_grid ="),
+         "[params] t_grid: expected space-separated numbers, got ''"),
+        (TRANSPORT_CFG, (TRANSPORT_CHECKS, "checks = entropic\nt_grid ="),
+         "[params] t_grid: expected space-separated numbers, got ''"),
+        (TRANSPORT_CFG, (TRANSPORT_CHECKS, "checks ="),
+         "[params] checks: expected check names, got ''"),
+        (CERTIFY_CFG, ("N = -2 -10", "N ="),
+         "[certify] N: expected space-separated numbers, got ''"),
+        (LOG_FLOW_CFG, ("x0 = 1", "x0 = 1\nz ="),
+         "[params] z: expected space-separated numbers, got ''"),
+    ], ids=["K", "step", "seed", "t_grid", "certify-N", "domain", "grid0", "certify-grid0",
+            "empty-t_grid", "transport-empty-t_grid", "empty-checks", "certify-empty-N",
+            "empty-z"])
     def test_bad_number_names_its_key(self, tmp_path, capsys, text, edit, message):
+        assert edit[0] in text
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
         command = "certify" if text is CERTIFY_CFG else "run"
         assert main([command, cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
 
 def geometry_records(tmp_path, space):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
 from negdimcd import (
     ConvexityParams,
+    GradientCurve,
     ScalarFunction1D,
     check_pointwise,
     claim_convexity_margin,
@@ -23,6 +25,7 @@ from negdimcd import (
 )
 
 from negdimcd.expr import compile_expr
+from negdimcd.quadrature import integrate
 
 from conftest import linear, quadratic
 
@@ -76,6 +79,18 @@ class TestIntegrator:
         curve = integrate_flow(compile_expr("log(cosh(x))"), x0, 2.0, 1e-2)
         err = np.sinh(curve.points) - math.sinh(x0) * np.exp(-curve.times)
         assert curve.note == "" and np.max(np.abs(err)) <= 3e-11
+
+    @pytest.mark.parametrize("text, x0", [("x**4/4 + x**2/2", 1.5),
+                                          ("log(cosh(x)) + x**2/2", -2.0)])
+    def test_times_match_the_quadrature_oracle(self, text, x0):
+        # a monotone descent reaches y at t(y) = int_y^x0 dy/|f'(y)|, which
+        # Gauss-Legendre quadrature computes without RK4
+        f = compile_expr(text)
+        curve = integrate_flow(f, x0, 1.5, 1e-2)
+        assert curve.note == "" and np.all(np.diff(np.abs(curve.points)) < 0)
+        t = [integrate(lambda y: 1.0 / np.abs(f.deriv(y)), *sorted((x, x0))).value
+             for x in curve.points[1:]]
+        assert np.max(np.abs(np.asarray(t) - curve.times[1:])) <= 1e-8
 
 
 class TestStopRule:
@@ -170,6 +185,23 @@ class TestEVI:
         rep = verify_evi_integrated(quad_flow, quadratic(1.0), 1.0, N, z, 0.1, 0.5)
         assert rep.passed and rep.worst_margin >= 0.0
 
+    def test_sharp_in_k(self):
+        # x^2/2 is (1, N)-convex and no better: on the battery's curve a K
+        # 5 % above the bound fails at the reference point 0
+        f = quadratic(1.0)
+        curve = integrate_flow(f, 1.0, 2.0, 2e-3)
+        assert verify_evi(curve, f, 1.0, -2.0, 0.0).passed
+        rep = verify_evi(curve, f, 1.05, -2.0, 0.0)
+        assert not rep.passed
+        assert rep.worst_margin == pytest.approx(-6.166e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_reported_tolerance_is_tol(self, quad_flow, tol):
+        f = quadratic(1.0)
+        for rep in (verify_evi(quad_flow, f, 1.0, -2.0, 0.5, tol),
+                    verify_evi_classical(quad_flow, f, 1.0, 0.5, tol)):
+            assert rep.tolerance == tol and rep.note == ""
+
     def test_stationary_minimum(self):
         f = quadratic(1.0)
         curve = integrate_flow(f, 0.0, 1.0, 1e-2)
@@ -231,6 +263,79 @@ class TestEVI:
         step = quad_flow.step
         for i in range(1, len(quad_flow) - 1):
             assert local_slope(f, quad_flow.points[i]) <= metric_speed(quad_flow, i) + 5 * step
+
+
+def _mp_s(kappa, theta):
+    if kappa > 0:
+        return mp.sin(mp.sqrt(kappa) * theta) / mp.sqrt(kappa)
+    if kappa < 0:
+        return mp.sinh(mp.sqrt(-kappa) * theta) / mp.sqrt(-kappa)
+    return theta
+
+
+# closed-form gradient curves, x0 e^{-t} of x^2/2 from x0 = 1 and
+# sqrt(x0^2 + 2Nt) of -N log(x) from x0 = 2 at N = -2: (potential, its
+# mpmath form, xi(t), horizon, N, Ks, zs); each has a z that the curve crosses
+CLOSED_FORM_CURVES = {
+    "exp(-t)": (quadratic(1.0), lambda x: x * x / 2, lambda t: mp.exp(-t), 1.0,
+                -2.0, (1.0, 0.5), (-1.0, 0.5, 2.0)),
+    "sqrt(4-4t)": (example_function("c", 0.0, -2.0)[0], lambda x: 2 * mp.log(x),
+                   lambda t: mp.sqrt(4 - 4 * t), 0.75, -2.0, (0.0, -0.3), (1.5, 3.0)),
+}
+
+
+class TestEVIOracle:
+    """verify_evi and verify_evi_classical against 50-digit mpmath, with the
+    time derivative taken by mp.diff along the closed-form curve."""
+
+    @staticmethod
+    def curve(xi, horizon, step=1e-2):
+        times = np.arange(int(round(horizon / step)) + 1) * step
+        with mp.workdps(50):
+            points = np.array([float(xi(mpf(float(t)))) for t in times])
+        return GradientCurve(times=times, points=points, step=step)
+
+    @staticmethod
+    def oracle(margin, times):
+        with mp.workdps(50):
+            return np.array([float(margin(mpf(float(t)))) for t in times[1:-1]])
+
+    @staticmethod
+    def assert_close(rep, want):
+        # margins are differences of O(1) terms: a few ulps of those floor
+        # the comparison where a margin is near 0
+        np.testing.assert_allclose(rep.details["margins"], want, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CURVES))
+    def test_dimensional(self, name):
+        f, f_mp, xi, horizon, N, Ks, zs = CLOSED_FORM_CURVES[name]
+        curve = self.curve(xi, horizon)
+        for K in Ks:
+            for z in zs:
+                def S(t, kappa=mpf(K) / N, z=z):
+                    return _mp_s(kappa, abs(xi(t) - z) / 2) ** 2
+
+                def margin(t, K=K, z=z, S=S):
+                    ratio = mp.exp((f_mp(xi(t)) - f_mp(z)) / N)  # f_N(z)/f_N(xi)
+                    return N / mpf(2) * (1 - ratio) - mp.diff(S, t) - K * S(t)
+
+                self.assert_close(verify_evi(curve, f, K, N, z),
+                                  self.oracle(margin, curve.times))
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_CURVES))
+    def test_classical(self, name):
+        f, f_mp, xi, horizon, _, Ks, zs = CLOSED_FORM_CURVES[name]
+        curve = self.curve(xi, horizon)
+        for K in Ks:
+            for z in zs:
+                def S(t, z=z):
+                    return (xi(t) - z) ** 2 / 4
+
+                def margin(t, K=K, z=z, S=S):
+                    return (f_mp(z) - f_mp(xi(t))) / 2 - mp.diff(S, t) - K * S(t)
+
+                self.assert_close(verify_evi_classical(curve, f, K, z),
+                                  self.oracle(margin, curve.times))
 
 
 class TestRegularizing:
