@@ -100,6 +100,15 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False,
                           f"got {raw!r}") from exc
 
 
+def _unit_times(cfg, key: str, default, conv):
+    """[params] key converted by conv (float or _floats), each time in [0, 1]."""
+    value = _get(cfg, "params", key, default, conv=conv)
+    if not all(0.0 <= t <= 1.0 for t in np.atleast_1d(value)):
+        raise ConfigError(f"[params] {key}: expected times in [0, 1], "
+                          f"got {cfg.get('params', key)!r}")
+    return value
+
+
 def _count(cfg, section: str, key: str, default: int) -> int:
     """[section] key as an integer of at least 1."""
     n = _get(cfg, section, key, default, conv=int)
@@ -229,7 +238,7 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
     p = convexity.ConvexityParams(K, N, window)
     n_pairs = _count(cfg, "params", "pairs", 40)
     grid_n = _count(cfg, "params", "grid", 200)
-    t_grid = _get(cfg, "params", "t_grid", [0.25, 0.5, 0.75], conv=_floats)
+    t_grid = _unit_times(cfg, "t_grid", [0.25, 0.5, 0.75], _floats)
     tol = convexity.TOL_ANALYTIC if tol is None else tol
     rng = _rng(seed, "convexity-pairs")
     pairs = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
@@ -261,8 +270,13 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
     curve = gradflow.integrate_flow(f, x0, horizon, step, domain)
     if curve.note:
         raise ConfigError(curve.note)
-    records = []
     mid = horizon / 2.0
+    for key, t in (("t0", t0), ("t1", t1), ("horizon/2", mid)):
+        try:
+            curve.index_at(t)
+        except ValueError as exc:
+            raise ConfigError(f"[params] {key}: {exc}") from exc
+    records = []
     records.append(_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),
                            x0=x0, step=step))
     for z in zs:
@@ -312,13 +326,13 @@ def run_transport(cfg, seed: int, tol: float | None) -> list[Record]:
                   "cd cdstar jacobian bm entropic hwi talagrand logsobolev").split()
     if not checks:
         raise ConfigError("[params] checks: expected check names, got ''")
-    t_grid = _get(cfg, "params", "t_grid", [0.25, 0.5, 0.75], conv=_floats)
+    t_grid = _unit_times(cfg, "t_grid", [0.25, 0.5, 0.75], _floats)
     wanted = set(checks)
     pair = {"cd", "cdstar", "jacobian", "entropic", "hwi"}
     mu0 = (_density_from(cfg, "mu0")
            if wanted & (pair | {"talagrand", "logsobolev"}) else None)
     mu1 = _density_from(cfg, "mu1") if wanted & pair else None
-    t_bm = _get(cfg, "params", "t", 0.5, conv=float) if "bm" in wanted else None
+    t_bm = _unit_times(cfg, "t", 0.5, float) if "bm" in wanted else None
 
     def bm():
         A0 = _get(cfg, "params", "A0", required=True, conv=_pair)

@@ -19,7 +19,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .comparison import c, negative_n, s, segment_limit, sigma
-from .functions import ScalarFunction1D, exp_transform
+from .functions import ScalarFunction1D, as_float, exp_transform
 from .report import CheckReport
 
 __all__ = [
@@ -199,9 +199,9 @@ def example_function(kind: str, K: float, N: float) -> Tuple[ScalarFunction1D, T
             raise ValueError("kind 'a' requires K > 0")
         w = math.sqrt(-K / N)
         f = ScalarFunction1D(
-            fn=lambda x: -N * np.log(np.cosh(w * np.asarray(x, dtype=float))),
-            d1=lambda x: -N * w * np.tanh(w * np.asarray(x, dtype=float)),
-            d2=lambda x: -N * w * w / np.cosh(w * np.asarray(x, dtype=float)) ** 2,
+            fn=lambda x: -N * np.log(np.cosh(w * as_float(x))),
+            d1=lambda x: -N * w * np.tanh(w * as_float(x)),
+            d2=lambda x: -N * w * w / np.square(np.cosh(w * as_float(x))),
             name="-N*log(cosh(w*x))")
         return f, (-math.inf, math.inf)
     if kind == "b":
@@ -209,18 +209,18 @@ def example_function(kind: str, K: float, N: float) -> Tuple[ScalarFunction1D, T
             raise ValueError("kind 'b' requires K > 0")
         w = math.sqrt(-K / N)
         f = ScalarFunction1D(
-            fn=lambda x: -N * np.log(np.sinh(w * np.asarray(x, dtype=float))),
-            d1=lambda x: -N * w / np.tanh(w * np.asarray(x, dtype=float)),
-            d2=lambda x: N * w * w / np.sinh(w * np.asarray(x, dtype=float)) ** 2,
+            fn=lambda x: -N * np.log(np.sinh(w * as_float(x))),
+            d1=lambda x: -N * w / np.tanh(w * as_float(x)),
+            d2=lambda x: N * w * w / np.square(np.sinh(w * as_float(x))),
             name="-N*log(sinh(w*x))")
         return f, (0.0, math.inf)
     if kind == "c":
         if K != 0:
             raise ValueError("kind 'c' requires K = 0")
         f = ScalarFunction1D(
-            fn=lambda x: -N * np.log(np.asarray(x, dtype=float)),
-            d1=lambda x: -N / np.asarray(x, dtype=float),
-            d2=lambda x: N / np.asarray(x, dtype=float) ** 2,
+            fn=lambda x: -N * np.log(as_float(x)),
+            d1=lambda x: -N / as_float(x),
+            d2=lambda x: N / np.square(as_float(x)),
             name="-N*log(x)")
         return f, (0.0, math.inf)
     if kind == "d":
@@ -229,9 +229,9 @@ def example_function(kind: str, K: float, N: float) -> Tuple[ScalarFunction1D, T
         w = math.sqrt(K / N)
         half = 0.5 * math.pi / w
         f = ScalarFunction1D(
-            fn=lambda x: -N * np.log(np.cos(w * np.asarray(x, dtype=float))),
-            d1=lambda x: N * w * np.tan(w * np.asarray(x, dtype=float)),
-            d2=lambda x: N * w * w / np.cos(w * np.asarray(x, dtype=float)) ** 2,
+            fn=lambda x: -N * np.log(np.cos(w * as_float(x))),
+            d1=lambda x: N * w * np.tan(w * as_float(x)),
+            d2=lambda x: N * w * w / np.square(np.cos(w * as_float(x))),
             name="-N*log(cos(w*x))")
         return f, (-half, half)
     raise ValueError(f"unknown kind {kind!r}; expected one of a, b, c, d")

@@ -20,7 +20,7 @@ import operator
 
 import numpy as np
 
-from .functions import ScalarFunction1D
+from .functions import ScalarFunction1D, as_float
 
 __all__ = ["compile_expr"]
 
@@ -211,8 +211,7 @@ def compile_expr(text: str, var: str = "x") -> ScalarFunction1D:
                     trees.append(_diff(trees[-1], var))
                 compiled[order] = _compile(trees[order], var)
             # scalars as numpy float64, so that they follow array arithmetic
-            x = np.asarray(value, dtype=float) if np.ndim(value) else np.float64(value)
-            return compiled[order](x)
+            return compiled[order](as_float(value))
         return evaluate
 
     return ScalarFunction1D(fn=evaluator(0), d1=evaluator(1), d2=evaluator(2), name=text)

@@ -10,10 +10,19 @@ import numpy as np
 __all__ = ["ScalarFunction1D", "exp_transform"]
 
 
+def as_float(x):
+    """x as float64: a numpy scalar for a scalar (a 0-d array too), else a float
+    array.  A float skips np.asarray: ufuncs on a 0-d array cost 4x more."""
+    if type(x) is float or type(x) is np.float64:
+        return np.float64(x)
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else x[()]
+
+
 def _shaped(out, x):
     # an array argument gets an array of its shape back: sympy-lambdified and
-    # constant callables return one scalar for any argument.  Callers test
-    # type(x) first, so scalar calls (the RK4 steps) pay one type check only.
+    # constant callables return one scalar for any argument.  Scalar calls
+    # (each RK4 stage) skip this after one type test of their argument.
     if np.shape(out) != x.shape:
         return np.full(x.shape, out, dtype=float)
     return out
@@ -64,14 +73,13 @@ def exp_transform(f: ScalarFunction1D, N: float) -> ScalarFunction1D:
         raise ValueError("N must be nonzero")
 
     def fn(x):
-        return np.exp(-np.asarray(f.fn(x), dtype=float) / N)
+        return np.exp(-as_float(f.fn(x)) / N)
 
     def d1(x):
-        return -np.asarray(f.deriv(x), dtype=float) / N * fn(x)
+        return -as_float(f.deriv(x)) / N * fn(x)
 
     def d2(x):
-        fp = np.asarray(f.deriv(x), dtype=float)
-        fpp = np.asarray(f.deriv2(x), dtype=float)
-        return (fp * fp / (N * N) - fpp / N) * fn(x)
+        fp = as_float(f.deriv(x))
+        return (fp * fp / (N * N) - as_float(f.deriv2(x)) / N) * fn(x)
 
     return ScalarFunction1D(fn=fn, d1=d1, d2=d2, name=f"exp(-({f.name or 'f'})/{N})")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .comparison import negative_n
 from .convexity import bakry_emery, interior_grid
-from .functions import ScalarFunction1D
+from .functions import ScalarFunction1D, as_float
 from .report import CheckReport
 
 __all__ = [
@@ -88,9 +88,9 @@ def gaussian_line(curv: float = 1.0, radius: float = 8.0) -> WeightedLine:
     sd = 1.0 / math.sqrt(curv)
     c0 = 0.5 * math.log(2.0 * math.pi / curv)
     psi = ScalarFunction1D(
-        fn=lambda x: curv * np.asarray(x, dtype=float) ** 2 / 2.0 + c0,
-        d1=lambda x: curv * np.asarray(x, dtype=float),
-        d2=lambda x: curv * np.ones_like(np.asarray(x, dtype=float)),
+        fn=lambda x: curv * np.square(as_float(x)) / 2.0 + c0,
+        d1=lambda x: curv * as_float(x),
+        d2=lambda x: curv * np.ones_like(as_float(x)),
         name="gaussian")
     return WeightedLine((-radius * sd, radius * sd), psi)
 
@@ -101,9 +101,9 @@ def power_weight_line(exponent: float, lo: float, hi: float) -> WeightedLine:
         raise ValueError("need 0 < lo < hi for a power weight")
     a = float(exponent)
     psi = ScalarFunction1D(
-        fn=lambda x: -a * np.log(np.asarray(x, dtype=float)),
-        d1=lambda x: -a / np.asarray(x, dtype=float),
-        d2=lambda x: a / np.asarray(x, dtype=float) ** 2,
+        fn=lambda x: -a * np.log(as_float(x)),
+        d1=lambda x: -a / as_float(x),
+        d2=lambda x: a / np.square(as_float(x)),
         name=f"power({a})")
     return WeightedLine((lo, hi), psi)
 

@@ -67,10 +67,15 @@ class GradientCurve:
         return len(self.times)
 
     def index_at(self, t: float) -> int:
-        """Grid index closest to time t (must be within half a step)."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 0.5 * self.step + 1e-12:
-            raise ValueError(f"time {t!r} is not on the curve grid")
+        """Index i of the sample at time t = i*step.  t/step may miss i by a
+        few ulps, as a time rounded to the grid, round(t/step)*step, does."""
+        k = float(t) / self.step
+        i = round(k) if math.isfinite(k) else -1
+        if not 0 <= i < len(self.times):
+            raise ValueError(f"time {t!r} is outside the curve's span "
+                             f"[0, {float(self.times[-1])!r}]")
+        if abs(k - i) > 4.0 * math.ulp(k):
+            raise ValueError(f"time {t!r} is not on the curve grid of step {self.step!r}")
         return i
 
 
@@ -83,16 +88,21 @@ def _rk4_step(f: ScalarFunction1D, x: float, h: float, lo: float, hi: float):
         return x, f"|f'| = {abs(k1)!r} is above the gradient cap {GRAD_CAP!r}"
     if not z <= RK4_LIMIT:
         return x, f"step*|f''| = {z!r} is beyond RK4's stability limit {RK4_LIMIT!r}"
-    ks = [k1]
-    for a in (0.5, 0.5, 1.0):
-        y = x + a * h * ks[-1]
-        if not (lo <= y <= hi and math.isfinite(y)):
-            return x, f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
-        ks.append(-float(f.deriv(y)))
-    y = x + h / 6.0 * (ks[0] + 2.0 * ks[1] + 2.0 * ks[2] + ks[3])
-    if not (lo <= y <= hi and math.isfinite(y)):
-        return x, f"the endpoint {y!r} is outside the domain ({lo!r}, {hi!r})"
-    return y, ""
+    # each stage evaluates f' only at a stage point inside the domain
+    y = x + 0.5 * h * k1
+    if lo <= y <= hi and math.isfinite(y):
+        k2 = -float(f.deriv(y))
+        y = x + 0.5 * h * k2
+        if lo <= y <= hi and math.isfinite(y):
+            k3 = -float(f.deriv(y))
+            y = x + h * k3
+            if lo <= y <= hi and math.isfinite(y):
+                k4 = -float(f.deriv(y))
+                y = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if lo <= y <= hi and math.isfinite(y):
+                    return y, ""
+                return x, f"the endpoint {y!r} is outside the domain ({lo!r}, {hi!r})"
+    return x, f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
 
 
 def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,

@@ -630,6 +630,38 @@ checks = entropic
         assert proc.stderr.count("\n") == 1
 
 
+def shipped(name):
+    return (ROOT / "configs" / f"{name}.cfg").read_text(encoding="utf-8")
+
+
+class TestTimeKeys:
+    @pytest.mark.parametrize("name, edit, message", [
+        # t0 = 0.1005 is half a step from the grid: the records said t0=0.1005
+        # while the check ran at t = 0.1 or 0.101
+        ("flow-quadratic", ("t0 = 0.1", "t0 = 0.1005"),
+         "[params] t0: time 0.1005 is not on the curve grid of step 0.001"),
+        ("flow-quadratic", ("t1 = 0.5", "t1 = 5"),
+         "[params] t1: time 5.0 is outside the curve's span [0, 2.0]"),
+        ("flow-quadratic", ("horizon = 2.0", "horizon = 2.0005"),
+         "[params] horizon/2: time 1.00025 is not on the curve grid of step 0.001"),
+        ("convexity-log-family", ("pairs = 50", "pairs = 50\nt_grid = 0.5 1.5"),
+         "[params] t_grid: expected times in [0, 1], got '0.5 1.5'"),
+        ("transport-model-weight", ("checks = cd cdstar jacobian bm",
+                                    "checks = cd\nt_grid = 0.5 2"),
+         "[params] t_grid: expected times in [0, 1], got '0.5 2'"),
+        ("transport-model-weight", ("t = 0.5", "t = 1.5"),
+         "[params] t: expected times in [0, 1], got '1.5'"),
+    ], ids=["off-grid-t0", "t1-beyond-horizon", "off-grid-horizon", "convexity-t_grid",
+            "transport-t_grid", "bm-t"])
+    def test_bad_time_names_its_key(self, tmp_path, capsys, name, edit, message):
+        text = shipped(name)
+        assert edit[0] in text
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestCertify:
     def test_quadratic_certificate(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "q.cfg", """

@@ -93,6 +93,72 @@ class TestIntegrator:
         assert np.max(np.abs(np.asarray(t) - curve.times[1:])) <= 1e-8
 
 
+def counting(f: ScalarFunction1D):
+    """f with d1 and d2 that count their calls in the returned dict."""
+    calls = {"d1": 0, "d2": 0}
+
+    def counted(name, g):
+        def call(x):
+            calls[name] += 1
+            return g(x)
+        return call
+
+    return ScalarFunction1D(fn=f.fn, d1=counted("d1", f.d1), d2=counted("d2", f.d2),
+                            name=f.name), calls
+
+
+def plain_rk4(d1, x0: float, h: float, n: int) -> list[float]:
+    """n classical RK4 steps of x' = -d1(x), in Python floats."""
+    xs = [x0]
+    for _ in range(n):
+        x = xs[-1]
+        k1 = -float(d1(x))
+        k2 = -float(d1(x + h / 2 * k1))
+        k3 = -float(d1(x + h / 2 * k2))
+        k4 = -float(d1(x + h * k3))
+        xs.append(x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return xs
+
+
+class TestStep:
+    @pytest.mark.parametrize("f, d1, x0, step", [
+        (compile_expr("x**4/4 + x**2/2"), None, 1.5, 1e-3),
+        # family c at N = -2: f' = 2/x
+        (example_function("c", 0.0, -2.0)[0], lambda x: 2.0 / x, 2.0, 5e-4),
+    ], ids=["expr", "family-c"])
+    def test_curve_is_the_rk4_formula_bit_for_bit(self, f, d1, x0, step):
+        counted, calls = counting(f)
+        curve = integrate_flow(counted, x0, 1.0, step)
+        n = len(curve) - 1
+        assert curve.note == "" and n == round(1.0 / step)
+        # four stages of f' and one f'' for the stability test, per step
+        assert calls == {"d1": 4 * n, "d2": n}
+        want = plain_rk4(d1 or f.deriv, x0, step, n)
+        assert curve.points.tobytes() == np.array(want).tobytes()
+
+
+class TestGridTimes:
+    def test_grid_times_give_their_index(self, quad_flow):
+        # the samples' own times, times rounded as round(t/step)*step, and
+        # decimal times such as the configs'
+        step = quad_flow.step
+        assert [quad_flow.index_at(t) for t in quad_flow.times] == list(range(len(quad_flow)))
+        for t in np.random.default_rng(3).uniform(0.0, 2.0, 200):
+            assert quad_flow.index_at(float(np.round(t / step) * step)) == round(t / step)
+        assert quad_flow.index_at(0.1) == 100 and quad_flow.index_at(0.5) == 500
+
+    @pytest.mark.parametrize("t, message", [
+        (0.1005, "time 0.1005 is not on the curve grid of step 0.001"),
+        (0.1 + 1e-12, "is not on the curve grid"),
+        (2.001, r"time 2.001 is outside the curve's span \[0, 2.0\]"),
+        (-0.001, "is outside the curve's span"),
+        (math.nan, "time nan is outside the curve's span"),
+    ])
+    def test_off_grid_time_is_rejected(self, quad_flow, t, message):
+        with pytest.raises(ValueError, match=message):
+            quad_flow.index_at(t)
+
+
 class TestStopRule:
     """A curve stops before the first step it cannot take as a descent step."""
 
@@ -120,6 +186,14 @@ class TestStopRule:
         assert curve.times[-1] == 0.24
         assert np.all(curve.points > 0.05) and np.all(np.diff(curve.points) < 0)
         assert "a stage point" in curve.note
+
+    def test_endpoint_outside_stops_the_curve(self):
+        # x' = e^{10x} speeds up within the step: from 0 every stage point
+        # lies below 0.069, the endpoint above
+        with pytest.raises(ValueError, match=r"from t=0.0, x=0.0: the endpoint 0.0693\d* "
+                                             r"is outside the domain \(-1.0, 0.069\)"):
+            integrate_flow(compile_expr("-exp(10*x)/10"), 0.0, 0.1, 0.05,
+                           domain=(-1.0, 0.069))
 
     @pytest.mark.parametrize("domain", [None, (0.0, 1.2)], ids=["unbounded", "bounded"])
     def test_unstable_step_raises(self, domain):
