@@ -40,6 +40,10 @@ __all__ = [
 ]
 
 _POLE_SIN = 1e-8
+# the spectral gap's Lanczos solve: the Ritz residual it stops at, relative
+# to the eigenvalue, and the steps it may take before the gap is inconclusive
+_RITZ_RTOL = 1e-14
+_LANCZOS_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -229,32 +233,75 @@ class EigenResult:
     note: str = ""
 
 
-def _radial_lambda1(space: WeightedSpace, mesh: int) -> float:
-    """Finite-volume radial eigenvalue with half-cell fluxes.
-
-    The flux weight w = sin(theta) e^{-psi} (sphere) or e^{-psi} (line)
-    vanishes at the sphere poles, which encodes the Neumann-regular endpoint
-    condition without ever dividing by w at the ends.
-    """
-    # imported here so that only the spectral gap loads scipy
-    from scipy.linalg import eigh_tridiagonal
-
+def _fv_weights(space: WeightedSpace, mesh: int):
+    """Cell width, cell centers, and the weight sin(theta) e^{-psi} (sphere)
+    or e^{-psi} (line) at the cell centers and faces.  The face weight
+    vanishes at both ends (the poles, or a zero-flux truncation of a line);
+    anywhere else a weight that is not positive and finite is an error."""
     lo, hi = space.interval
     h = (hi - lo) / mesh
     centers = lo + (np.arange(mesh) + 0.5) * h
     faces = lo + np.arange(mesh + 1) * h
     w_c = np.exp(-np.asarray(space.psi(centers), dtype=float))
     w_f = np.exp(-np.asarray(space.psi(faces), dtype=float))
+    var = "x"
     if isinstance(space, RotSphere):
         w_c = np.sin(centers) * w_c
         w_f = np.sin(faces) * w_f
-    # the poles of the sphere; a zero-flux (Neumann) truncation of a line
+        var = "theta"
     w_f[0] = w_f[-1] = 0.0
-    diag = (w_f[:-1] + w_f[1:]) / (w_c * h * h)
-    off = -w_f[1:-1] / (h * h * np.sqrt(w_c[:-1] * w_c[1:]))
-    vals = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1),
-                            eigvals_only=True)
-    return float(vals[1])
+    for x, w in ((centers, w_c), (faces[1:-1], w_f[1:-1])):
+        bad = np.flatnonzero(~((w > 0.0) & (w < math.inf)))
+        if bad.size:
+            raise ValueError(f"spectral gap: the weight is {float(w[bad[0]])!r} at {var}="
+                             f"{float(x[bad[0]])!r}; e^-psi must be positive and finite")
+    return h, centers, w_c, w_f
+
+
+def _radial_lambda1(space: WeightedSpace, mesh: int) -> float:
+    """Finite-volume radial eigenvalue, or NaN if Lanczos does not converge.
+
+    A u = lambda W u, with A the flux-form operator (w_f / h^2 on interior
+    faces) and W = diag(w_c), so lambda1 = 1/mu for the largest eigenvalue mu
+    of A^+ W on the W-complement of the constants.  Lanczos runs in the W
+    inner product from the ramp of cell centers (the first nonconstant
+    eigenvector is monotone, so the ramp has a component along it) until the
+    Ritz residual of mu is below _RITZ_RTOL * mu or the Krylov space is the
+    whole complement.
+    """
+    h, centers, w_c, w_f = _fv_weights(space, mesh)
+    mass = w_c.sum()
+    half = mesh // 2
+
+    def solve(b):
+        # A u = W b: the flux through an interior face is the mass of W b on
+        # its nearer side, so nothing cancels where the weight is tiny, and
+        # u falls by flux * h^2 / w_f across the face
+        wb = w_c * b
+        flux = np.concatenate((np.cumsum(wb[:half]), -np.cumsum(wb[:half:-1])[::-1]))
+        u = np.concatenate(([0.0], np.cumsum(-flux / w_f[1:-1] * (h * h))))
+        return u - (w_c @ u) / mass
+
+    steps = min(mesh - 1, _LANCZOS_STEPS)
+    basis = np.empty((steps + 1, mesh))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = centers - (w_c @ centers) / mass
+    basis[0] = q / math.sqrt(w_c @ (q * q))
+    for k in range(steps):
+        v = solve(basis[k])
+        alpha[k] = w_c @ (basis[k] * v)
+        for _ in range(2):  # full reorthogonalization: twice is enough
+            v -= ((basis[:k + 1] * w_c) @ v) @ basis[:k + 1]
+        beta[k] = math.sqrt(w_c @ (v * v))
+        if not math.isfinite(alpha[k] + beta[k]):
+            return math.nan
+        ritz, vecs = np.linalg.eigh(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1)
+                                    + np.diag(beta[:k], -1))
+        mu = ritz[-1]
+        if beta[k] * abs(vecs[-1, -1]) <= _RITZ_RTOL * mu or k + 1 == mesh - 1:
+            return float(1.0 / mu)
+        basis[k + 1] = v / beta[k]
+    return math.nan
 
 
 def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
@@ -266,7 +313,8 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
     claimed to be the full gap (the result says so in its note).  A weighted
     line is accepted as an advisory noncompact run, outside the compactness
     hypothesis of the bound.  K <= 0 makes the bound vacuous; an eigenvalue
-    shift above ``tol`` under mesh halving is reported inconclusive.
+    shift above ``tol`` under mesh halving, or an eigenvalue that does not
+    converge (lambda1 NaN), is reported inconclusive.
     """
     negative_n(N)
     if mesh_size < 4:
@@ -283,6 +331,10 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
         if np.max(np.abs(space.psi.deriv(probe))) > 1e-12:
             notes.append("radial spectrum only; not claimed to be the full gap")
     bound = K * N / (N - 1.0)
+    if math.isnan(lam_half + lam):
+        notes.append(f"lambda1 did not converge in {_LANCZOS_STEPS} Lanczos steps")
+        return EigenResult(lambda1=math.nan, bound=bound, passed=False,
+                           K=K, status="inconclusive", note="; ".join(notes))
     if abs(lam - lam_half) > tol:
         notes.append(f"mesh too coarse: lambda1 shifted by {abs(lam - lam_half)!r}")
         return EigenResult(lambda1=lam, bound=bound, passed=False,

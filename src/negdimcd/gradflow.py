@@ -246,7 +246,7 @@ def verify_evi_integrated(curve: GradientCurve, f: ScalarFunction1D, K: float,
     """
     negative_n(N)
     if not 0 <= t0 <= t1:
-        raise ValueError("need 0 <= t0 <= t1")
+        raise ValueError(f"need 0 <= t0 <= t1, got t0={t0!r} and t1={t1!r}")
     i0, i1 = curve.index_at(t0), curve.index_at(t1)
     fN = exp_transform(f, N)
     dists = np.abs(curve.points[i0:i1 + 1] - z)

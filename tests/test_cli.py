@@ -348,6 +348,33 @@ class TestSpaceKinds:
         lambda1 = float(rows["geometry/spectral-gap"][1].split("lambda1=")[1].split(";")[0])
         assert lambda1 == pytest.approx((math.pi / 3.0) ** 2, abs=1e-6)
 
+    def test_deep_double_well_gap(self, tmp_path):
+        # e^-psi reaches 1e-167: the symmetrized matrix overflowed, and the run
+        # ended with "error: array must not contain infs or NaNs"
+        rows = geometry_records(tmp_path, "kind = line\nweight = 6*(x**2-1)**2\n"
+                                          "interval = -3 3")
+        params = dict(p.split("=") for p in rows["geometry/spectral-gap"][1].split(";"))
+        assert params["mesh"] == "2000"
+        assert float(params["lambda1"]) == pytest.approx(0.0248464623, rel=1e-9)
+
+    def test_underflowing_weight_is_an_error_line(self, tmp_path):
+        cfg = write_cfg(tmp_path / "g.cfg", """
+[run]
+suite = geometry
+
+[space]
+kind = line
+weight = 30*(x**2-1)**2
+interval = -3 3
+
+[params]
+N = -2
+""")
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: spectral gap: the weight is 0.0 at x=-2.997; "
+                               "e^-psi must be positive and finite\n")
+
     @pytest.mark.parametrize("suite, space, interval", [
         ("geometry", "kind = lebesgue\ninterval = 3 1", (3.0, 1.0)),
         ("geometry", "kind = gaussian\nradius = -1", (1.0, -1.0)),
@@ -642,6 +669,8 @@ class TestTimeKeys:
          "[params] t0: time 0.1005 is not on the curve grid of step 0.001"),
         ("flow-quadratic", ("t1 = 0.5", "t1 = 5"),
          "[params] t1: time 5.0 is outside the curve's span [0, 2.0]"),
+        ("flow-quadratic", ("t0 = 0.1", "t0 = 0.6"),
+         "need 0 <= t0 <= t1, got t0=0.6 and t1=0.5"),
         ("flow-quadratic", ("horizon = 2.0", "horizon = 2.0005"),
          "[params] horizon/2: time 1.00025 is not on the curve grid of step 0.001"),
         ("convexity-log-family", ("pairs = 50", "pairs = 50\nt_grid = 0.5 1.5"),
@@ -651,8 +680,8 @@ class TestTimeKeys:
          "[params] t_grid: expected times in [0, 1], got '0.5 2'"),
         ("transport-model-weight", ("t = 0.5", "t = 1.5"),
          "[params] t: expected times in [0, 1], got '1.5'"),
-    ], ids=["off-grid-t0", "t1-beyond-horizon", "off-grid-horizon", "convexity-t_grid",
-            "transport-t_grid", "bm-t"])
+    ], ids=["off-grid-t0", "t1-beyond-horizon", "t0-after-t1", "off-grid-horizon",
+            "convexity-t_grid", "transport-t_grid", "bm-t"])
     def test_bad_time_names_its_key(self, tmp_path, capsys, name, edit, message):
         text = shipped(name)
         assert edit[0] in text
@@ -759,25 +788,27 @@ class TestQuietStderr:
 COLD_IMPORT_PROBE = """
 import sys
 import negdimcd.cli as cli
-loaded = [sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]
-for command, config, out in zip(("run", "certify"), sys.argv[1:3], sys.argv[3:5]):
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = [scipy_modules()]
+for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+    command = "certify" if "certify-" in config else "run"
     assert cli.main([command, config, "--out-dir", out]) == 0
-    loaded.append(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+    loaded.append(scipy_modules())
 print(loaded)
 """
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # only the spectral gap needs scipy; importing the CLI, a transport run
-    # and a certificate must not pay for it
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_IMPORT_PROBE,
-         str(ROOT / "configs" / "transport-gaussian.cfg"),
-         str(ROOT / "configs" / "certify-quadratic.cfg"),
-         str(tmp_path / "run"), str(tmp_path / "certify")],
-        capture_output=True, text=True, env=src_env(), timeout=120)
+    # the CLI needs numpy only: importing it, a transport run, a
+    # certificate, the spectral gap and the battery load no scipy module
+    names = ("transport-gaussian", "certify-quadratic", "geometry-sphere", "battery")
+    args = [str(a) for name in names
+            for a in (ROOT / "configs" / f"{name}.cfg", tmp_path / name)]
+    proc = subprocess.run([sys.executable, "-c", COLD_IMPORT_PROBE, *args],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[[], [], []]"
+    assert proc.stdout.splitlines()[-1] == repr([[]] * (len(names) + 1))
 
 
 @pytest.fixture(scope="module")

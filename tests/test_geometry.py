@@ -6,6 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from scipy.linalg import eigh_tridiagonal
 
 from negdimcd import (
     RotSphere,
@@ -23,6 +24,8 @@ from negdimcd import (
     ricci_n,
     weighted_sum_certificate,
 )
+from negdimcd import geometry
+from negdimcd.expr import compile_expr
 
 
 def sphere(psi=None) -> RotSphere:
@@ -289,6 +292,87 @@ class TestLichnerowicz:
         # Hermite oracle: the gap of the drifted problem is the curvature itself
         assert res.lambda1 == pytest.approx(1.0, abs=1e-6)
         assert res.passed
+
+
+def double_well(depth=6.0, radius=3.0) -> WeightedLine:
+    return WeightedLine((-radius, radius), compile_expr(f"{depth}*(x**2-1)**2"))
+
+
+ORACLE_SPACES = {
+    "sphere": sphere,
+    "gaussian": lambda: gaussian_line(1.0),
+    "power": lambda: power_weight_line(2.0, 0.5, 3.0),
+    "double-well": double_well,
+}
+
+
+def sturm_lambda1(space, mesh):
+    """Second eigenvalue of the pencil A - lambda W of the same float64
+    weights, by 40-digit Sturm-count bisection: the number of negative
+    pivots of A - sigma W is the number of eigenvalues below sigma."""
+    h, _, w_c, w_f = geometry._fv_weights(space, mesh)
+    with mpmath.workdps(40):
+        hh = mpmath.mpf(h) ** 2
+        diag = [(mpmath.mpf(w_f[i]) + mpmath.mpf(w_f[i + 1])) / hh for i in range(mesh)]
+        wc = [mpmath.mpf(w) for w in w_c]
+        off2 = [(mpmath.mpf(w) / hh) ** 2 for w in w_f[1:-1]]
+
+        def below(sigma):
+            count, pivot = 0, diag[0] - sigma * wc[0]
+            for i in range(mesh):
+                if i:
+                    pivot = diag[i] - sigma * wc[i] - off2[i - 1] / pivot
+                if pivot == 0:
+                    pivot = mpmath.mpf(10) ** -60
+                count += pivot < 0
+            return count
+
+        lo, hi = mpmath.mpf(0), 4 * max(d / w for d, w in zip(diag, wc))
+        while hi - lo > hi * mpmath.mpf(10) ** -20:
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if below(mid) >= 2 else (mid, hi)
+        return hi
+
+
+class TestRadialLambda1:
+    @pytest.mark.parametrize("mesh", [3, 64, 200])
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+    def test_matches_sturm_bisection(self, name, mesh):
+        # mesh 3 leaves a two-dimensional complement: Lanczos exhausts it
+        space = ORACLE_SPACES[name]()
+        got = geometry._radial_lambda1(space, mesh)
+        want = sturm_lambda1(space, mesh)
+        assert abs(got - want) <= 1e-13 * want
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_SPACES))
+    def test_matches_lapack_at_2000_cells(self, name):
+        # LAPACK on the symmetrized matrix, whose absolute tolerance eps*||T||
+        # is about 2e-10 of lambda1 here.  The double well is a shallow one:
+        # a deep one underflows sqrt(w_c[:-1]*w_c[1:])
+        space = double_well(1.0, 2.5) if name == "double-well" else ORACLE_SPACES[name]()
+        h, _, w_c, w_f = geometry._fv_weights(space, 2000)
+        diag = (w_f[:-1] + w_f[1:]) / (w_c * h * h)
+        off = -w_f[1:-1] / (h * h * np.sqrt(w_c[:-1] * w_c[1:]))
+        want = eigh_tridiagonal(diag, off, select="i", select_range=(0, 1),
+                                eigvals_only=True)[1]
+        assert geometry._radial_lambda1(space, 2000) == pytest.approx(want, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("psi, value", [("30*(x**2-1)**2", 0.0), ("-200*x**2", math.inf)],
+                             ids=["underflow", "overflow"])
+    def test_weight_out_of_range_is_named(self, psi, value):
+        space = WeightedLine((-3.0, 3.0), compile_expr(psi))
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=rf"the weight is {value!r} at x=-2\.997;"):
+            lichnerowicz(space, -2.0, mesh_size=2000)
+
+    def test_unconverged_solve_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_LANCZOS_STEPS", 2)
+        assert math.isnan(geometry._radial_lambda1(sphere(), 200))
+        res = lichnerowicz(sphere(), -2.0, mesh_size=200)
+        assert res.status == "inconclusive"
+        assert not res.passed
+        assert math.isnan(res.lambda1)
+        assert res.note == "lambda1 did not converge in 2 Lanczos steps"
 
 
 class TestCertificateCalculus:
