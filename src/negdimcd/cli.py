@@ -310,7 +310,8 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
                                 **({} if tol is None else {"tol": tol}))
     records.append(Record("geometry/spectral-gap",
                           f"N={N};mesh={mesh};lambda1={eig.lambda1!r};bound={eig.bound!r}",
-                          eig.lambda1 - eig.bound, eig.passed))
+                          math.nan if eig.status == "inconclusive"
+                          else eig.lambda1 - eig.bound, eig.passed))
     return records
 
 

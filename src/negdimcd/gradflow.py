@@ -18,7 +18,7 @@ xi' = -f'(xi), so it is exact at each sample and needs no allowance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,20 +48,18 @@ MAX_STEPS = 10**6   # RK4 steps one curve may take
 
 @dataclass
 class GradientCurve:
-    """Time-discretized trajectory of the flow xi' = -f'(xi)."""
+    """Time-discretized trajectory of the flow xi' = -f'(xi); ``points[i]``
+    is the sample at time ``times[i]`` = i*step."""
 
-    times: np.ndarray
     points: np.ndarray
     step: float
     note: str = ""
+    times: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if len(self.times) != len(self.points):
-            raise ValueError("times and points must align")
-        if len(self.times) < 2:
+        if len(self.points) < 2:
             raise ValueError("curve needs at least two samples")
-        if self.times[0] != 0.0 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must strictly increase from 0")
+        self.times = np.arange(len(self.points)) * self.step
 
     def __len__(self) -> int:
         return len(self.times)
@@ -138,9 +136,7 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
                 raise ValueError(note)
             break
         xs.append(x)
-    times = np.arange(len(xs)) * step
-    return GradientCurve(times=times, points=np.asarray(xs, dtype=float),
-                         step=step, note=note)
+    return GradientCurve(points=np.asarray(xs, dtype=float), step=step, note=note)
 
 
 def local_slope(f: ScalarFunction1D, x):

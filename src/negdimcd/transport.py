@@ -50,37 +50,25 @@ __all__ = [
 _DENSITY_FLOOR = 1e-300
 
 
-def _simpson_cdf(y, xs):
-    """Cumulative composite Simpson integral of ``y`` over the increasing
-    nodes ``xs`` (at least 3), from 0; bit for bit
-    ``scipy.integrate.cumulative_simpson(y, x=xs, initial=0.0)``.  Interval i
-    takes the parabola through nodes i..i+2 when i is even, and through nodes
-    i-1..i+1 when i is odd or last (eq. (8) of K. V. Cartwright, J. Math.
-    Sci. Math. Educ. 12(2), for unequal intervals)."""
-    dx = np.diff(xs)
-    if np.any(dx <= 0):
-        raise ValueError("Simpson nodes must be strictly increasing")
+def _simpson_cdf(y, h):
+    """Cumulative composite Simpson integral of ``y`` on at least 3 nodes at
+    equal intervals ``h``, from 0; bit for bit
+    ``scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0)``.  Intervals
+    2m and 2m+1 take the parabola through nodes 2m..2m+2, read forward and
+    backward; for an even node count the last interval takes the parabola
+    through the last three nodes (eq. (10) of K. V. Cartwright, J. Math. Sci.
+    Math. Educ. 12(2))."""
+
+    def interval(near, mid, far):
+        return h / 3 * (5 * near / 4 + 2 * mid - far / 4)
+
     n = len(y)
     e = 2 * ((n - 1) // 2)
     parts = np.zeros(n)
-    # intervals 2m and 2m+1 (2m+1 < e) share the parabola through nodes
-    # 2m..2m+2, read forward and backward; the buffered steps below follow
-    # the operation order of the last interval's formula, bit for bit
-    width = dx[0:e:2] + dx[1:e:2]
-    r, rr, w = np.empty((3, len(width)))
-    for h, g, near, far, out in ((dx[0:e:2], dx[1:e:2], y[0:e:2], y[2:e + 1:2], parts[1:e:2]),
-                                 (dx[1:e:2], dx[0:e:2], y[2:e + 1:2], y[0:e:2], parts[2:e + 1:2])):
-        np.divide(h, width, out=r)
-        np.multiply(np.divide(h, g, out=rr), r, out=rr)
-        np.multiply(np.subtract(3, r, out=out), near, out=out)
-        out += np.multiply(np.add(np.add(3, rr, out=w), r, out=w), y[1:e:2], out=w)
-        out -= np.multiply(rr, far, out=w)
-        out *= np.divide(h, 6, out=w)
-    if n % 2 == 0:  # the last interval, by the parabola through the last three nodes
-        h, g = dx[-1], dx[-2]
-        r = h / (h + g)
-        rr = r * (h / g)
-        parts[-1] = h / 6 * ((3 - r) * y[-1] + (3 + rr + r) * y[-2] - rr * y[-3])
+    parts[1:e:2] = interval(y[0:e:2], y[1:e:2], y[2:e + 1:2])
+    parts[2:e + 1:2] = interval(y[2:e + 1:2], y[1:e:2], y[0:e:2])
+    if n % 2 == 0:
+        parts[-1] = interval(y[-1], y[-2], y[-3])
     return np.cumsum(parts, out=parts)
 
 
@@ -90,10 +78,10 @@ class Density1D:
 
     ``pdf`` is the Lebesgue density, finite on the closed support.  The cdf
     and quantile evaluators are built from a table of the composite Simpson
-    rule for unequal intervals, the formula of
-    ``scipy.integrate.cumulative_simpson``, on ``quad_nodes`` (at least 2)
-    equal intervals; the total mass must be 1 within 1e-8 unless
-    ``normalize`` is set, which divides ``pdf`` and ``d_pdf`` by it.
+    rule on ``quad_nodes`` (at least 2) equal intervals, the formula of
+    ``scipy.integrate.cumulative_simpson(y, dx=h)``; the total mass must be 1
+    within 1e-8 unless ``normalize`` is set, which divides ``pdf`` and
+    ``d_pdf`` by it.
     """
 
     support: Tuple[float, float]
@@ -112,6 +100,9 @@ class Density1D:
         if self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes!r}")
         xs = np.linspace(a, b, self.quad_nodes + 1)
+        if np.any(np.diff(xs) <= 0):
+            raise ValueError(f"support {self.support!r} is narrower than its "
+                             f"{self.quad_nodes} intervals: nodes must be strictly increasing")
         pv = np.asarray(self.pdf(xs), dtype=float)
         bad = np.flatnonzero(~np.isfinite(pv))
         if bad.size:
@@ -119,7 +110,7 @@ class Density1D:
             raise ValueError(f"pdf {float(pv[i])!r} is not finite at x={float(xs[i])!r}")
         if np.any(pv < 0):
             raise ValueError("pdf must be nonnegative on its support")
-        cdf = _simpson_cdf(pv, xs)
+        cdf = _simpson_cdf(pv, (b - a) / self.quad_nodes)
         mass = float(cdf[-1])
         if not math.isfinite(mass):
             raise ValueError(f"density mass {mass!r} is not finite")
@@ -128,7 +119,7 @@ class Density1D:
                 raise ValueError("cannot normalize a zero-mass density")
 
             def scaled(fn):
-                return lambda x: np.asarray(fn(x), dtype=float) / mass
+                return lambda x: fn(x) / mass
 
             self.pdf = scaled(self.pdf)
             if self.d_pdf is not None:
@@ -153,8 +144,8 @@ class Density1D:
             return self.d_pdf(x)
         a, b = self.support
         h = (b - a) * 1e-7
-        return (np.asarray(self.pdf(np.asarray(x) + h), dtype=float)
-                - np.asarray(self.pdf(np.asarray(x) - h), dtype=float)) / (2.0 * h)
+        x = np.asarray(x, dtype=float)
+        return (self.pdf(x + h) - self.pdf(x - h)) / (2.0 * h)
 
     def interior_nodes(self, n: int, panels: int = 4):
         """Gauss-Legendre nodes/weights on the (barely shrunk) open support."""
@@ -193,7 +184,7 @@ def uniform_density(a: float, b: float, quad_nodes: int = 2048) -> Density1D:
         return np.where((x >= a) & (x <= b), h, 0.0)
 
     def d_pdf(x):
-        return np.zeros_like(np.asarray(x, dtype=float))
+        return np.zeros(np.shape(x))
 
     return Density1D(support=(a, b), pdf=pdf, d_pdf=d_pdf,
                      quad_nodes=quad_nodes, name=f"uniform({a},{b})")
@@ -205,10 +196,10 @@ def reference_density(space: WeightedLine) -> Density1D:
     psi = space.psi
 
     def pdf(x):
-        return np.exp(-np.asarray(psi(x), dtype=float))
+        return np.exp(-psi(x))
 
     def d_pdf(x):
-        return -np.asarray(psi.deriv(x), dtype=float) * pdf(x)
+        return -psi.deriv(x) * pdf(x)
 
     return Density1D(support=space.interval, pdf=pdf, d_pdf=d_pdf, name="reference")
 
@@ -219,7 +210,7 @@ def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
     # unlike a single Gauss rule of order n
     order = min(n_nodes, 50)
     u, wts = gl_nodes(0.0, 1.0, order, panels=max(1, n_nodes // order))
-    dq = np.asarray(mu0.quantile(u), dtype=float) - np.asarray(mu1.quantile(u), dtype=float)
+    dq = mu0.quantile(u) - mu1.quantile(u)
     return math.sqrt(max(float(np.sum(wts * dq * dq)), 0.0))
 
 
@@ -237,22 +228,18 @@ class GeodesicPath:
 
     def d_map(self, x):
         """T' = rho0 / (rho1 o T), with rho1 floored away from 0."""
-        num = np.asarray(self.mu0.pdf(x), dtype=float)
-        den = np.asarray(self.mu1.pdf(self.map(x)), dtype=float)
-        return num / np.maximum(den, _DENSITY_FLOOR)
+        return self.mu0.pdf(x) / np.maximum(self.mu1.pdf(self.map(x)), _DENSITY_FLOOR)
 
     def position(self, t, x):
-        return (1.0 - t) * np.asarray(x, dtype=float) + t * np.asarray(self.map(x), dtype=float)
+        return (1.0 - t) * np.asarray(x, dtype=float) + t * self.map(x)
 
     def jacobian_lebesgue(self, t, x):
-        return (1.0 - t) + t * np.asarray(self.d_map(x), dtype=float)
+        return (1.0 - t) + t * self.d_map(x)
 
     def jacobian(self, space: WeightedLine, t, x):
         """Weighted Jacobian J_t(x) = e^{psi(x)-psi(T_t x)} ((1-t) + t T'(x))."""
         psi = space.psi
-        return (np.exp(np.asarray(psi(x), dtype=float)
-                       - np.asarray(psi(self.position(t, x)), dtype=float))
-                * self.jacobian_lebesgue(t, x))
+        return np.exp(psi(x) - psi(self.position(t, x))) * self.jacobian_lebesgue(t, x)
 
     def density(self, t: float) -> Density1D:
         """Pushforward density at time t, rebuilt as a standalone Density1D."""
@@ -263,7 +250,7 @@ class GeodesicPath:
         jac = self.jacobian_lebesgue(t, xs)
         if np.any(jac <= 0):
             raise ValueError("monotonicity violated: nonpositive interpolation Jacobian")
-        vals = np.asarray(self.mu0.pdf(xs), dtype=float) / jac
+        vals = self.mu0.pdf(xs) / jac
 
         def pdf(y):
             return np.interp(y, ys, vals, left=0.0, right=0.0)
@@ -279,8 +266,7 @@ def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
 
 def _weighted_density_values(mu: Density1D, space: WeightedLine, x) -> np.ndarray:
     """d(mu)/dm at x: Lebesgue pdf times exp(psi)."""
-    return (np.asarray(mu.pdf(x), dtype=float)
-            * np.exp(np.asarray(space.psi(x), dtype=float)))
+    return mu.pdf(x) * np.exp(space.psi(x))
 
 
 def renyi_entropy(mu: Density1D, space: WeightedLine, N: float) -> float:
@@ -290,7 +276,7 @@ def renyi_entropy(mu: Density1D, space: WeightedLine, N: float) -> float:
 
     def integrand(x):
         rho = np.maximum(_weighted_density_values(mu, space, x), _DENSITY_FLOOR)
-        return np.exp(p * np.log(rho)) * np.exp(-np.asarray(space.psi(x), dtype=float))
+        return np.exp(p * np.log(rho)) * np.exp(-space.psi(x))
 
     a, b = mu.support
     return integrate(integrand, a, b, n0=128, rtol=1e-11).value
@@ -300,8 +286,8 @@ def relative_entropy(mu: Density1D, space: WeightedLine) -> float:
     """Ent(mu | m) = int rho log(rho) dm, as a Lebesgue integral over supp mu."""
 
     def integrand(x):
-        pl = np.maximum(np.asarray(mu.pdf(x), dtype=float), _DENSITY_FLOOR)
-        return pl * (np.log(pl) + np.asarray(space.psi(x), dtype=float))
+        pl = np.maximum(mu.pdf(x), _DENSITY_FLOOR)
+        return pl * (np.log(pl) + space.psi(x))
 
     a, b = mu.support
     return integrate(integrand, a, b, n0=128, rtol=1e-11).value
@@ -311,9 +297,8 @@ def fisher_information(mu: Density1D, space: WeightedLine) -> float:
     """I(mu | m) = int (d/dx log(d mu/dm))^2 d mu for smooth densities."""
 
     def integrand(x):
-        pl = np.maximum(np.asarray(mu.pdf(x), dtype=float), _DENSITY_FLOOR)
-        score = (np.asarray(mu.pdf_deriv(x), dtype=float) / pl
-                 + np.asarray(space.psi.deriv(x), dtype=float))
+        pl = np.maximum(mu.pdf(x), _DENSITY_FLOOR)
+        score = mu.pdf_deriv(x) / pl + space.psi.deriv(x)
         return score * score * pl
 
     a, b = mu.support
@@ -323,7 +308,7 @@ def fisher_information(mu: Density1D, space: WeightedLine) -> float:
 
 def _source_nodes(mu0: Density1D):
     nodes, wts = mu0.interior_nodes(512, 4)
-    return nodes, wts * np.asarray(mu0.pdf(nodes), dtype=float)
+    return nodes, wts * mu0.pdf(nodes)
 
 
 def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
@@ -346,7 +331,7 @@ def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
         raise ValueError("every N' must lie in [N, 0)")
     path = GeodesicPath(mu0, mu1)
     xs, meas = _source_nodes(mu0)
-    Tx = np.asarray(path.map(xs), dtype=float)
+    Tx = path.map(xs)
     theta = np.abs(Tx - xs)
     rho0 = np.maximum(_weighted_density_values(mu0, space, xs), _DENSITY_FLOOR)
     rho1 = np.maximum(_weighted_density_values(mu1, space, Tx), _DENSITY_FLOOR)
@@ -386,7 +371,7 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
     xs = interior_grid(mu0.support, 64)
     if np.any(path.d_map(xs) <= 0):
         raise ValueError("monotonicity violated: nonpositive map derivative")
-    theta = np.abs(np.asarray(path.map(xs), dtype=float) - xs)
+    theta = np.abs(path.map(xs) - xs)
     j1 = path.jacobian(space, 1.0, xs)
     # axes: t, x
     t = np.asarray(t_grid, dtype=float)[:, None]
@@ -401,8 +386,7 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
 
 def _interval_measure(space: WeightedLine, interval: Tuple[float, float]) -> float:
     a, b = interval
-    return integrate(lambda x: np.exp(-np.asarray(space.psi(x), dtype=float)),
-                     a, b, rtol=1e-13, atol=1e-15).value
+    return integrate(lambda x: np.exp(-space.psi(x)), a, b, rtol=1e-13, atol=1e-15).value
 
 
 def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
@@ -431,11 +415,11 @@ def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
     d_max = max(abs(b1 - a0), abs(b0 - a1))
     thetas = np.linspace(d_min, d_max, 512)
     if mode == "BM":
-        c0 = np.max(np.asarray(tau(K, N, 1.0 - t, thetas), dtype=float))
-        c1 = np.max(np.asarray(tau(K, N, t, thetas), dtype=float))
+        c0 = np.max(tau(K, N, 1.0 - t, thetas))
+        c1 = np.max(tau(K, N, t, thetas))
     else:
-        c0 = np.max(np.asarray(sigma(K / N, 1.0 - t, thetas), dtype=float))
-        c1 = np.max(np.asarray(sigma(K / N, t, thetas), dtype=float))
+        c0 = np.max(sigma(K / N, 1.0 - t, thetas))
+        c1 = np.max(sigma(K / N, t, thetas))
     margin = math.inf
     if not (math.isinf(c0) or math.isinf(c1)):
         powm = lambda m: math.exp(math.log(m) / N)

@@ -199,6 +199,20 @@ mesh = 800
         assert by_id["geometry/spectral-gap"][3] == "false"
         assert by_id["geometry/min-ricci"][3] == "true"
 
+    def test_inconclusive_spectral_gap_margin_is_nan(self, tmp_path):
+        # at 8 cells lambda1 shifts by 0.18 when the mesh is halved, which is
+        # inconclusive at a tolerance of 1e-6; lambda1 - bound is positive
+        # there, so writing it would grade a positive margin as failed
+        text = (ROOT / "configs" / "geometry-sphere.cfg").read_text()
+        cfg = write_cfg(tmp_path / "g.cfg", text.replace("mesh = 2000", "mesh = 8"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), "--tol", "1e-6"]) == 1
+        _, rows = read_records(out)
+        gap = {r[0]: r for r in rows}["geometry/spectral-gap"]
+        assert "mesh=8;" in gap[1]
+        assert math.isnan(float(gap[2]))
+        assert gap[3] == "false"
+
 
 SQRT_CFG = """
 [run]

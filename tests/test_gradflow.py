@@ -367,7 +367,7 @@ class TestEVIOracle:
         times = np.arange(int(round(horizon / step)) + 1) * step
         with mp.workdps(50):
             points = np.array([float(xi(mpf(float(t)))) for t in times])
-        return GradientCurve(times=times, points=points, step=step)
+        return GradientCurve(points=points, step=step)
 
     @staticmethod
     def oracle(margin, times):

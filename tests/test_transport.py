@@ -104,14 +104,15 @@ class TestSimpsonTable:
     @example(nodes=3, offset=0.0, width=1.0, zeros=0.0, log_range=(0.0, -0.0), seed=0)
     def test_equals_scipy_cumulative_simpson(self, nodes, offset, width, zeros,
                                              log_range, seed):
-        xs = np.linspace(offset, offset + width, nodes)
+        # the interval of a Density1D table on support (offset, offset + width)
+        h = (offset + width - offset) / (nodes - 1)
         rng = np.random.default_rng(seed)
         lo, hi = sorted(v + 0.0 for v in log_range)
         y = 10.0 ** rng.uniform(lo, hi, nodes)
         y[rng.random(nodes) < zeros] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            got = _simpson_cdf(y, xs)
-            want = cumulative_simpson(y, x=xs, initial=0.0)
+            got = _simpson_cdf(y, h)
+            want = cumulative_simpson(y, dx=h, initial=0.0)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("quad_nodes", [1, 0, -3])
@@ -275,19 +276,43 @@ class TestEntropies:
         assert renyi_entropy(mu, leb, -2.0) == pytest.approx(oracle, abs=1e-9)
 
 
+@st.composite
+def gaussian_cd_cases(draw):
+    """(space, mu0, mu1, K, N): gaussian_line(curv), which is CD(K, N) for
+    every K <= curv and N < 0 since Ric_N >= curv, and two normals whose
+    8-sd supports lie inside the line."""
+    curv = draw(st.floats(0.3, 2.0))
+    K = draw(st.floats(-2.0, curv))
+    N = draw(st.floats(-10.0, -1.05))
+    space = gaussian_line(curv)
+    half = space.interval[1]
+
+    def normal():
+        sd = draw(st.floats(0.05, 1.0)) * half / 8.0
+        return gaussian_density(draw(st.floats(-1.0, 1.0)) * (half - 8.0 * sd), sd)
+
+    return space, normal(), normal(), K, N
+
+
 class TestCheckCD:
     SPACE = power_weight_line(-3.0, 0.5, 8.0)  # flat model for N = -2
     MU0 = uniform_density(1.0, 2.0)
     MU1 = uniform_density(3.0, 5.0)
     TS = [0.1, 0.25, 0.5, 0.75, 0.9]
+    GAUSSIAN = (gaussian_line(1.0), gaussian_density(0.5, 1.0),
+                gaussian_density(-0.5, 1.0), 1.0, -2.0)
 
     def test_model_weight_passes(self):
         rep = check_cd(self.SPACE, self.MU0, self.MU1, 0.0, -2.0, self.TS)
         assert rep.passed
 
-    def test_dimension_monotonicity(self):
-        N = -2.0
-        rep = check_cd(self.SPACE, self.MU0, self.MU1, 0.0, N, self.TS,
+    @settings(max_examples=60, deadline=None)
+    @given(case=gaussian_cd_cases())
+    @example(case=(SPACE, MU0, MU1, 0.0, -2.0))
+    @example(case=GAUSSIAN)
+    def test_dimension_monotonicity(self, case):
+        space, mu0, mu1, K, N = case
+        rep = check_cd(space, mu0, mu1, K, N, self.TS,
                        n_prime_list=[N, N / 2.0, N / 4.0])
         assert rep.passed
 
@@ -295,22 +320,20 @@ class TestCheckCD:
         rep = check_cd(self.SPACE, self.MU0, self.MU0, 0.0, -2.0, [0.25, 0.5, 0.75])
         assert abs(rep.worst_margin) <= 1e-10
 
-    def test_cd_implies_cdstar(self):
-        configs = [
-            (self.SPACE, self.MU0, self.MU1, 0.0, -2.0),
-            (gaussian_line(1.0), gaussian_density(0.5, 1.0),
-             gaussian_density(-0.5, 1.0), 1.0, -2.0),
-        ]
-        for space, mu0, mu1, K, N in configs:
-            cd = check_cd(space, mu0, mu1, K, N, self.TS)
-            cdstar = check_cd(space, mu0, mu1, K, N, self.TS, mode="CDstar")
-            assert cdstar.worst_margin >= cd.worst_margin - 1e-12
-            if cd.passed:
-                assert cdstar.passed
+    @settings(max_examples=60, deadline=None)
+    @given(case=gaussian_cd_cases())
+    @example(case=(SPACE, MU0, MU1, 0.0, -2.0))
+    @example(case=GAUSSIAN)
+    def test_cd_implies_cdstar(self, case):
+        space, mu0, mu1, K, N = case
+        cd = check_cd(space, mu0, mu1, K, N, self.TS)
+        cdstar = check_cd(space, mu0, mu1, K, N, self.TS, mode="CDstar")
+        assert cdstar.worst_margin >= cd.worst_margin - 1e-12
+        if cd.passed:
+            assert cdstar.passed
 
     def test_gaussian_space_positive_curvature(self):
-        rep = check_cd(gaussian_line(1.0), gaussian_density(0.5, 1.0),
-                       gaussian_density(-0.5, 1.0), 1.0, -2.0, self.TS)
+        rep = check_cd(*self.GAUSSIAN, self.TS)
         assert rep.passed
 
     def test_negative_k_out_of_range_is_trivial(self):
