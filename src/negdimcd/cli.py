@@ -294,7 +294,7 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     del seed
     N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     space = _space_from(cfg, "space")
-    grid_n = _get(cfg, "params", "grid", 400, conv=int)
+    grid_n = _count(cfg, "params", "grid", 400)
     cert = geometry.min_ricci_n(space, N,
                                 convexity.interior_grid(space.interval, grid_n, 1e-3))
     records = [Record("geometry/min-ricci", f"N={N};grid={grid_n}", cert.K, True)]
@@ -308,10 +308,8 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     mesh = _get(cfg, "params", "mesh", 2000, conv=int)
     eig = geometry.lichnerowicz(space, N, mesh_size=mesh,
                                 **({} if tol is None else {"tol": tol}))
-    records.append(Record("geometry/spectral-gap",
-                          f"N={N};mesh={mesh};lambda1={eig.lambda1!r};bound={eig.bound!r}",
-                          math.nan if eig.status == "inconclusive"
-                          else eig.lambda1 - eig.bound, eig.passed))
+    records.append(_record("geometry", eig, N=N, mesh=mesh, lambda1=eig.lambda1,
+                           bound=eig.bound))
     return records
 
 
@@ -472,8 +470,7 @@ def cmd_certify(args) -> int:
         K = float(np.min(be, where=np.isfinite(be), initial=math.inf))
         rep = convexity.check_pointwise(f, convexity.ConvexityParams(K, N, window),
                                         grid, tol)
-        records.append(Record("certify/pointwise", f"N={N};K={K!r}",
-                              rep.worst_margin, rep.passed))
+        records.append(_record("certify", rep, N=N, K=K))
         if rep.passed:
             print(f"N={N}: largest passing K = {K!r}")
     rec_path = _write_records(records, out_dir)

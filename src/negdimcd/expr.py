@@ -40,7 +40,7 @@ _FUNCS = {
 _CONSTS = {"pi": math.pi, "e": math.e}
 
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-        ast.Div: operator.truediv, ast.Pow: operator.pow}
+        ast.Div: operator.truediv, ast.Pow: np.power}
 
 _ALLOWED_OPS = tuple(_OPS)
 

@@ -220,17 +220,15 @@ def bochner_margin(space: WeightedSpace, u: ScalarFunction1D, N: float,
     return CheckReport.from_margins("bochner", margins, x, tol)
 
 
-@dataclass
-class EigenResult:
-    """First nonzero eigenvalue of -L_m on radial functions, with the
-    spectral-gap lower bound K*N/(N-1)."""
+@dataclass(kw_only=True)
+class EigenResult(CheckReport):
+    """Spectral-gap check: the first nonzero eigenvalue lambda1 of -L_m on
+    radial functions against the lower bound K*N/(N-1); the margin is
+    lambda1 - bound."""
 
     lambda1: float
     bound: float
-    passed: bool
     K: float
-    status: str = "checked"
-    note: str = ""
 
 
 def _fv_weights(space: WeightedSpace, mesh: int):
@@ -314,7 +312,7 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
     line is accepted as an advisory noncompact run, outside the compactness
     hypothesis of the bound.  K <= 0 makes the bound vacuous; an eigenvalue
     shift above ``tol`` under mesh halving, or an eigenvalue that does not
-    converge (lambda1 NaN), is reported inconclusive.
+    converge (lambda1 NaN), is reported inconclusive with margin NaN.
     """
     negative_n(N)
     if mesh_size < 4:
@@ -331,20 +329,22 @@ def lichnerowicz(space: WeightedSpace, N: float, mesh_size: int = 2000,
         if np.max(np.abs(space.psi.deriv(probe))) > 1e-12:
             notes.append("radial spectrum only; not claimed to be the full gap")
     bound = K * N / (N - 1.0)
+    status, passed = "inconclusive", False
     if math.isnan(lam_half + lam):
+        lam = math.nan
         notes.append(f"lambda1 did not converge in {_LANCZOS_STEPS} Lanczos steps")
-        return EigenResult(lambda1=math.nan, bound=bound, passed=False,
-                           K=K, status="inconclusive", note="; ".join(notes))
-    if abs(lam - lam_half) > tol:
+    elif abs(lam - lam_half) > tol:
         notes.append(f"mesh too coarse: lambda1 shifted by {abs(lam - lam_half)!r}")
-        return EigenResult(lambda1=lam, bound=bound, passed=False,
-                           K=K, status="inconclusive", note="; ".join(notes))
-    if K <= 0:
+    elif K <= 0:
+        status, passed = "vacuous", True
         notes.append("K <= 0: bound vacuous")
-        return EigenResult(lambda1=lam, bound=bound, passed=True, K=K,
-                           status="vacuous", note="; ".join(notes))
-    return EigenResult(lambda1=lam, bound=bound, passed=bool(lam >= bound - tol),
-                       K=K, note="; ".join(notes))
+    else:
+        status, passed = "checked", bool(lam >= bound - tol)
+    return EigenResult(name="spectral-gap", passed=passed,
+                       worst_margin=math.nan if status == "inconclusive" else lam - bound,
+                       worst_location=None, n_evaluations=1, tolerance=tol,
+                       status=status, note="; ".join(notes),
+                       lambda1=lam, bound=bound, K=K)
 
 
 def weighted_sum_certificate(base: Tuple[float, float], extra: Tuple[float, float],

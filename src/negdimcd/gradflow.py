@@ -188,7 +188,7 @@ def _evi_margins(curve, margins, tol, name):
     """Shared reduction of the margins rhs - dS/dt at the interior samples."""
     margins, times = margins[1:-1], curve.times[1:-1]
     return CheckReport.from_margins(name, margins, times, tol, details={
-        "times": times.tolist(), "margins": margins.tolist()})
+        "times": times, "margins": margins})
 
 
 def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,

@@ -1,5 +1,5 @@
-"""The public surface: the one range of N every checker takes, and the README
-tour, which must run as written."""
+"""The public surface: the one range of N every checker takes, the one result
+type every checker returns, and the README tour, which must run as written."""
 
 import math
 import re
@@ -66,6 +66,16 @@ class TestRangeOfN:
         assert negative_n(-2.5) == -2.5
         with pytest.raises(ValueError, match=r"N must be negative and finite, got -inf$"):
             negative_n(-math.inf)
+
+
+# the entries of CHECKERS that compute a quantity rather than check an inequality
+NON_CHECKERS = {"tau", "ConvexityParams", "mono_rule", "example_function", "ricci_n",
+                "min_ricci_n", "renyi_entropy"}
+
+
+@pytest.mark.parametrize("name", sorted(set(CHECKERS) - NON_CHECKERS))
+def test_every_checker_returns_a_check_report(name):
+    assert isinstance(CHECKERS[name](-2.0), nd.CheckReport)
 
 
 def test_readme_tour_runs():

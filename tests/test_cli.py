@@ -437,8 +437,9 @@ class TestGeometryParams:
     @pytest.mark.parametrize("edit, message", [
         *[(f"mesh = {m}", f"mesh_size must be at least 4, got {m}")
           for m in (0, 1, -5, 2, 3)],
-        ("mesh = 2000\ngrid = 0", "min_ricci_n needs at least one grid point, got 0"),
-    ], ids=["mesh0", "mesh1", "mesh-5", "mesh2", "mesh3", "grid0"])
+        *[(f"mesh = 2000\ngrid = {g}", f"[params] grid must be at least 1, got {g}")
+          for g in (0, -1)],
+    ], ids=["mesh0", "mesh1", "mesh-5", "mesh2", "mesh3", "grid0", "grid-1"])
     def test_small_mesh_or_grid_is_an_error_line(self, tmp_path, capsys, edit, message):
         # tracebacks before: ZeroDivisionError, IndexError, scipy's
         # select_range out of bounds, numpy's argmin of an empty sequence

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from negdimcd import example_function
 from negdimcd.expr import compile_expr
 
-from test_expr import X, _binop, _call, _neg, constants, expressions
+from test_expr import expressions
 
 KINDS = ("float", "float64", "0-d array", "1-element array")
 
@@ -21,9 +21,9 @@ def call_kinds(g, x: float):
     return [float(np.ravel(v)[0]) for v in values]
 
 
-def assert_same_bits(values, kinds=KINDS):
+def assert_same_bits(values):
     first = values[0]
-    for kind, value in zip(kinds, values):
+    for kind, value in zip(KINDS, values):
         same = (np.float64(value).tobytes() == np.float64(first).tobytes()
                 or (math.isnan(value) and math.isnan(first)))
         assert same, (kind, value, first)
@@ -56,35 +56,15 @@ class TestFamilies:
                 assert_same_bits(call_kinds(g, x))
 
 
-# the grammar without the nodes whose trees or derivative trees raise to a
-# power (**, /, log, sqrt, tan, tanh): ** on a numpy scalar is libm's pow,
-# which can differ in the last bit from the array power that squares exactly
-def _extend_powerless(inner):
-    operand = st.one_of(inner, constants)
-    arithmetic = st.sampled_from(["+", "-", "*"])
-    return st.one_of(
-        st.builds(_call, st.sampled_from(["abs", "cos", "cosh", "exp", "sin", "sinh"]),
-                  inner),
-        st.builds(_binop, arithmetic, inner, operand),
-        st.builds(_binop, arithmetic, operand, inner),
-        st.builds(_neg, inner))
-
-
-powerless = st.recursive(st.just(("x", X)), _extend_powerless, max_leaves=6)
 points = st.floats(-3.0, 3.0)
 
 
 class TestExpressions:
     @settings(max_examples=150, deadline=None)
     @given(expressions, points)
-    def test_scalar_kinds_give_the_same_bits(self, expression, x):
-        f = compile_expr(expression[0])
-        with np.errstate(all="ignore"):
-            for g in (f, f.deriv, f.deriv2):
-                assert_same_bits(call_kinds(g, x)[:3], KINDS[:3])
-
-    @settings(max_examples=150, deadline=None)
-    @given(powerless, points)
+    # libm's pow gave the numpy scalar 7.974696525904486, one ulp above the
+    # correctly rounded square an array call takes
+    @example(("(x ** 2)", None), -2.8239505176090614)
     def test_every_argument_kind_gives_the_same_bits(self, expression, x):
         f = compile_expr(expression[0])
         with np.errstate(all="ignore"):
