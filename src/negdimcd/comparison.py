@@ -81,20 +81,48 @@ def _t_and_theta(t, theta):
     return t, theta
 
 
+def _distortion(kappa, t, theta, power):
+    """t * (s(kappa, t*theta) / (t * s(kappa, theta)))**power, +inf out of the
+    domain: sigma at power 1, tau at (N-1)/N.  On the series branch it is
+    t * exp(power*L), L the log of the series ratio by log1p, so t exactly at
+    kappa = 0, where (t*theta)/theta can miss t by an ulp; and tau and
+    sigma_{K/N}, which agree there to first order in K, come out equal
+    rather than an ulp apart in either order."""
+    kappa = np.asarray(kappa, dtype=float)
+    t, theta = _t_and_theta(t, theta)
+
+    def from_log(k, tt, th):
+        def log_s_over(x):
+            u = k * x * x
+            return np.log1p(-u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0)))
+        return tt * np.exp(power * (log_s_over(tt * th) - log_s_over(th)))
+
+    series = np.abs(kappa) * theta * theta <= SERIES_THRESHOLD
+    if series.all():
+        out = np.asarray(from_log(kappa, t, theta))
+    else:
+        out = np.asarray(s(kappa, t * theta))
+        np.divide(out, s(kappa, theta), out=out, where=~series)
+        if power != 1.0:
+            # 0/0 at t = 0, which tau replaces by its convention
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = np.asarray(t * _pow_inv(out / t, power))
+        if series.any():
+            at = np.nonzero(np.broadcast_to(series, out.shape))
+            out[at] = from_log(*(np.broadcast_to(a, out.shape)[at]
+                                 for a in (kappa, t, theta)))
+    np.copyto(out, np.inf,
+              where=(kappa > 0) & (theta * np.sqrt(np.maximum(kappa, 0.0)) >= math.pi))
+    return out
+
+
 def sigma(kappa, t, theta):
     """Distortion coefficient s(kappa, t*theta) / s(kappa, theta).
 
     Conventions: sigma(kappa, t, 0) = t, and +inf once kappa > 0 and
     theta >= pi/sqrt(kappa) (out of the domain of the ratio).
     """
-    kappa = np.asarray(kappa, dtype=float)
-    t, theta = _t_and_theta(t, theta)
-    zero = theta == 0
-    out = np.asarray(s(kappa, t * theta))
-    np.divide(out, s(kappa, theta), out=out, where=~zero)
-    np.copyto(out, t, where=zero)
-    np.copyto(out, np.inf,
-              where=(kappa > 0) & (theta * np.sqrt(np.maximum(kappa, 0.0)) >= math.pi))
+    out = _distortion(kappa, t, theta, 1.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -125,14 +153,8 @@ def tau(K, N, t, theta):
     K < 0 and theta >= pi*sqrt((N-1)/K).
     """
     negative_n(N)
-    K = np.asarray(K, dtype=float)
-    t, theta = _t_and_theta(t, theta)
-    sig = np.asarray(sigma(K / (N - 1.0), t, theta))
-    # log 0 and inf * 0 at t = 0, replaced by the convention below
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(_pow_inv(t, 1.0 / N) * _pow_inv(sig, (N - 1.0) / N))
-    np.copyto(out, np.inf, where=np.isinf(sig))
-    np.copyto(out, 0.0, where=t == 0)
+    out = _distortion(np.asarray(K, dtype=float) / (N - 1.0), t, theta, (N - 1.0) / N)
+    np.copyto(out, 0.0, where=np.asarray(t) == 0)
     return float(out) if out.ndim == 0 else out
 
 

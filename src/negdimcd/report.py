@@ -16,7 +16,9 @@ class CheckReport:
     """Outcome of a margin check.
 
     ``worst_margin`` is signed: nonnegative means the inequality held with
-    slack, and the check passes iff worst_margin >= -tolerance.  ``status``
+    slack, and the check passes iff worst_margin >= -tolerance, or, for a
+    checker that gives each margin a scale, iff every margin is at least
+    -tolerance times its scale.  ``status``
     is one of "checked", "trivial" (every margin was +inf by an extended-real
     convention), "vacuous" (hypotheses make the claim empty), or
     "inconclusive" (discretization did not converge; counts as a failure).
@@ -35,7 +37,8 @@ class CheckReport:
     @classmethod
     def from_margins(cls, name: str, margins: Sequence[float],
                      locations: Sequence[Any], tolerance: float,
-                     note: str = "", details: dict | None = None) -> "CheckReport":
+                     note: str = "", details: dict | None = None,
+                     scale: Sequence[float] | None = None) -> "CheckReport":
         """Reduce pointwise margins by index-ordered min.
 
         +inf margins record trivially-true evaluations and never drag the
@@ -43,6 +46,9 @@ class CheckReport:
         "trivial".  The first NaN makes the check "inconclusive".
         ``locations`` aligns with ``margins``; a numpy array of locations
         yields a float (one column) or a tuple of floats (one row).
+        ``scale``, when given, aligns with ``margins`` too: margin i passes
+        when it is at least -tolerance * scale[i], for margins that are
+        differences of quantities far larger than 1.
         """
         m = np.asarray(margins, dtype=float)
         if m.ndim != 1 or len(m) != len(locations):
@@ -63,7 +69,9 @@ class CheckReport:
         if worst == math.inf:
             return cls(passed=True, worst_margin=math.inf, worst_location=None,
                        status="trivial", note=note, **common)
-        return cls(passed=bool(worst >= -tolerance), worst_margin=worst,
+        passed = (worst >= -tolerance if scale is None
+                  else np.all(m >= -tolerance * np.asarray(scale, dtype=float)))
+        return cls(passed=bool(passed), worst_margin=worst,
                    worst_location=where, note=note, **common)
 
     @classmethod

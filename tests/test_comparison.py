@@ -90,6 +90,18 @@ class TestSigmaTauConventions:
             for t in (0.1, 0.5, 0.9, 1.0):
                 assert tau(0.0, N, t, 3.3) == pytest.approx(t, abs=1e-15)
 
+    def test_flat_limit_is_t_exactly(self):
+        # (t*theta)/theta and t^(1/N) * t^((N-1)/N) can miss t by an ulp
+        rng = np.random.default_rng(3)
+        t, theta = rng.uniform(0.0, 1.0, 4000), rng.uniform(0.0, 20.0, 4000)
+        for kappa in (0.0, 1e-300, -1e-300):
+            assert np.array_equal(sigma(kappa, t, theta), t)
+        for N in (-0.3, -1.05, -2.0, -7.7):
+            assert np.array_equal(tau(0.0, N, t, theta), t)
+            # tau and sigma_{K/N} differ by far less than an ulp at such K
+            for K in (1e-300, 2.220446049250313e-16):
+                assert np.array_equal(tau(K, N, t, theta), sigma(K / N, t, theta))
+
     def test_tau_out_of_domain(self):
         # K < 0: +inf from theta >= pi*sqrt((N-1)/K)
         K, N = -1.0, -2.0

@@ -261,6 +261,17 @@ class TestFromMargins:
         assert rep.worst_location == (2.0, 3.0)
         assert type(rep.worst_location[0]) is float
 
+    def test_scale_judges_each_margin(self):
+        # margin i passes at -tolerance * scale[i]; the worst is the least margin
+        margins, locations = [-0.5, -2e-9, 1.0], [0.0, 1.0, 2.0]
+        rep = CheckReport.from_margins("m", margins, locations, 1e-9, scale=[1e9, 1.0, 1.0])
+        assert (rep.worst_margin, rep.worst_location) == (-0.5, 0.0)
+        assert not rep.passed
+        assert CheckReport.from_margins("m", margins, locations, 1e-9,
+                                        scale=[1e9, 2.0, 1.0]).passed
+        assert not CheckReport.from_margins("m", margins, locations, 1e-9,
+                                            scale=[4e8, 2.0, 1.0]).passed
+
     def test_misaligned_and_empty_rejected(self):
         with pytest.raises(ValueError, match="align"):
             CheckReport.from_margins("m", [1.0, 2.0], [0.0], 0.0)

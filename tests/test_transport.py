@@ -301,6 +301,18 @@ class TestCheckCD:
     TS = [0.1, 0.25, 0.5, 0.75, 0.9]
     GAUSSIAN = (gaussian_line(1.0), gaussian_density(0.5, 1.0),
                 gaussian_density(-0.5, 1.0), 1.0, -2.0)
+    # one measure twice, deep in the reference normal: S_{N/4} reaches 5.5e8
+    # and 1e4, and the margins 0 are off by one ulp of that, beyond tol 1e-8
+    SAME_DEEP = (gaussian_line(1.0), gaussian_density(4.0, 0.5),
+                 gaussian_density(4.0, 0.5), 0.0, -2.0)
+    SAME_DEEP_N = (gaussian_line(1.0), gaussian_density(3.0, 0.3),
+                   gaussian_density(3.0, 0.3), 0.0, -1.05)
+    # margins near 1e6 at K = 0 and K = eps: an ulp between tau and sigma
+    # there would put the CD margin above the CD* one by more than 1e-12
+    FLAT_FAR = (gaussian_line(0.3), gaussian_density(-11.7, 0.36),
+                gaussian_density(-13.4, 0.09), 0.0, -1.8)
+    EPS_K = (gaussian_line(1.0), gaussian_density(6.5625, 0.0625),
+             gaussian_density(0.0, 1.0), 2.220446049250313e-16, -1.5)
 
     def test_model_weight_passes(self):
         rep = check_cd(self.SPACE, self.MU0, self.MU1, 0.0, -2.0, self.TS)
@@ -310,6 +322,8 @@ class TestCheckCD:
     @given(case=gaussian_cd_cases())
     @example(case=(SPACE, MU0, MU1, 0.0, -2.0))
     @example(case=GAUSSIAN)
+    @example(case=SAME_DEEP)
+    @example(case=SAME_DEEP_N)
     def test_dimension_monotonicity(self, case):
         space, mu0, mu1, K, N = case
         rep = check_cd(space, mu0, mu1, K, N, self.TS,
@@ -324,6 +338,8 @@ class TestCheckCD:
     @given(case=gaussian_cd_cases())
     @example(case=(SPACE, MU0, MU1, 0.0, -2.0))
     @example(case=GAUSSIAN)
+    @example(case=FLAT_FAR)
+    @example(case=EPS_K)
     def test_cd_implies_cdstar(self, case):
         space, mu0, mu1, K, N = case
         cd = check_cd(space, mu0, mu1, K, N, self.TS)
