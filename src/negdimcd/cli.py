@@ -109,11 +109,11 @@ def _unit_times(cfg, key: str, default, conv):
     return value
 
 
-def _count(cfg, section: str, key: str, default: int) -> int:
-    """[section] key as an integer of at least 1."""
+def _count(cfg, section: str, key: str, default: int, least: int = 1) -> int:
+    """[section] key as an integer of at least ``least``."""
     n = _get(cfg, section, key, default, conv=int)
-    if n < 1:
-        raise ConfigError(f"[{section}] {key} must be at least 1, got {n}")
+    if n < least:
+        raise ConfigError(f"[{section}] {key} must be at least {least}, got {n}")
     return n
 
 
@@ -305,7 +305,7 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
                                   convexity.interior_grid(space.interval, 64, 1e-3),
                                   tol=1e-8 if tol is None else tol)
     records.append(_record("geometry", rep, N=N, u=u_expr))
-    mesh = _get(cfg, "params", "mesh", 2000, conv=int)
+    mesh = _count(cfg, "params", "mesh", 2000, least=4)
     eig = geometry.lichnerowicz(space, N, mesh_size=mesh,
                                 **({} if tol is None else {"tol": tol}))
     records.append(_record("geometry", eig, N=N, mesh=mesh, lambda1=eig.lambda1,
@@ -390,6 +390,15 @@ def _write_summary(records: Sequence[Record], out_dir: Path) -> Path:
     return path
 
 
+def _write(records: Sequence[Record], out_dir: Path, *writers) -> list[Path]:
+    """The file of each writer in out_dir; an OSError is a ConfigError."""
+    try:
+        return [write(records, out_dir) for write in writers]
+    except OSError as exc:
+        raise ConfigError(f"cannot write to the output directory {str(out_dir)!r}: "
+                          f"{exc.strerror}") from exc
+
+
 def _resolve_out_dir(cli_value: str | None, cfg) -> Path:
     if cli_value:
         return Path(cli_value)
@@ -440,8 +449,7 @@ def cmd_run(args) -> int:
     records = (_run_groups(cfg, seed, tol) if any("." in s for s in cfg.sections())
                else _run_suite(cfg, seed, tol))
     out_dir = _resolve_out_dir(args.out_dir, cfg)
-    rec_path = _write_records(records, out_dir)
-    sum_path = _write_summary(records, out_dir)
+    rec_path, sum_path = _write(records, out_dir, _write_records, _write_summary)
     n_fail = sum(1 for r in records if not r.passed)
     print(f"{len(records)} checks, {len(records) - n_fail} passed; "
           f"records: {rec_path}; summary: {sum_path}")
@@ -473,7 +481,7 @@ def cmd_certify(args) -> int:
         records.append(_record("certify", rep, N=N, K=K))
         if rep.passed:
             print(f"N={N}: largest passing K = {K!r}")
-    rec_path = _write_records(records, out_dir)
+    rec_path, = _write(records, out_dir, _write_records)
     print(f"records: {rec_path}")
     return 0 if all(r.passed for r in records) else 1
 
@@ -491,6 +499,9 @@ def cmd_merge(args) -> int:
                     if len(row) != len(RECORD_HEADER):
                         raise ConfigError(f"{path} line {reader.line_num}: "
                                           f"{len(row)} fields, expected {len(RECORD_HEADER)}")
+                    if row[3] not in ("true", "false"):
+                        raise ConfigError(f"{path} line {reader.line_num}: pass field "
+                                          f"{row[3]!r} is not true or false")
                     rows.append(row)
         except OSError as exc:
             raise ConfigError(f"cannot read record file {path!r}: {exc.strerror}") from exc

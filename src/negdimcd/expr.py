@@ -1,9 +1,9 @@
 """Tiny whitelisted expression grammar for config files, with exact derivatives.
 
 Supported: the variable (``x`` by default), numeric literals, the constants
-``pi`` and ``e``, the operators + - * / ** with unary minus, and calls to
-exp, log, sin, cos, tan, sinh, cosh, tanh, sqrt, abs.  Everything else is
-rejected, so config files cannot execute arbitrary code.
+``pi`` and ``e``, the operators + - * / ** with unary minus, and calls to the
+one-argument functions of ``_FUNCS``.  Everything else is rejected, so config
+files cannot execute arbitrary code.
 
 The grammar is closed under differentiation: derivatives are trees of the
 same grammar plus ``sign`` (the derivative of abs) and ``sign'`` (0 away from
@@ -24,58 +24,10 @@ from .functions import ScalarFunction1D, as_float
 
 __all__ = ["compile_expr"]
 
-_FUNCS = {
-    "exp": np.exp,
-    "log": np.log,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-
 _CONSTS = {"pi": math.pi, "e": math.e}
 
 _OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
         ast.Div: operator.truediv, ast.Pow: np.power}
-
-_ALLOWED_OPS = tuple(_OPS)
-
-
-def _sign_prime(u):
-    # [()] turns the 0-d array of a scalar argument into a scalar
-    return np.where(u == 0, np.nan, 0.0)[()]
-
-
-# the grammar's functions plus the two that only derivative trees contain
-_EVAL_FUNCS = {**_FUNCS, "sign": np.sign, "sign'": _sign_prime}
-
-
-def _validate(node: ast.AST, var: str) -> None:
-    if isinstance(node, ast.Expression):
-        _validate(node.body, var)
-    elif isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_OPS):
-        _validate(node.left, var)
-        _validate(node.right, var)
-    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        _validate(node.operand, var)
-    elif isinstance(node, ast.Call):
-        if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS):
-            raise ValueError(f"function not in the grammar: {ast.dump(node.func)}")
-        if node.keywords or len(node.args) != 1:
-            raise ValueError("grammar functions take exactly one positional argument")
-        _validate(node.args[0], var)
-    elif isinstance(node, ast.Name):
-        if node.id != var and node.id not in _CONSTS:
-            raise ValueError(f"unknown name {node.id!r}; only {var!r}, pi, e are allowed")
-    elif isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
-            raise ValueError(f"literal {node.value!r} is not numeric")
-    else:
-        raise ValueError(f"syntax not in the grammar: {type(node).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -120,24 +72,34 @@ def _call(name, a):
     return ast.Call(ast.Name(name), [a], [])
 
 
-# d/dx name(u) from u and du = u'; no third derivative is built, so sign' needs no rule
-_CHAIN = {
-    "exp": lambda u, du: _mul(_call("exp", u), du),
-    "log": lambda u, du: _div(du, u),
-    "sin": lambda u, du: _mul(_call("cos", u), du),
-    "cos": lambda u, du: _neg(_mul(_call("sin", u), du)),
-    "tan": lambda u, du: _div(du, _pow(_call("cos", u), _TWO)),
-    "sinh": lambda u, du: _mul(_call("cosh", u), du),
-    "cosh": lambda u, du: _mul(_call("sinh", u), du),
-    "tanh": lambda u, du: _div(du, _pow(_call("cosh", u), _TWO)),
-    "sqrt": lambda u, du: _div(du, _mul(_TWO, _call("sqrt", u))),
-    "abs": lambda u, du: _mul(_call("sign", u), du),
-    "sign": lambda u, du: _mul(_call("sign'", u), du),
+def _sign_prime(u):
+    # [()] turns the 0-d array of a scalar argument into a scalar
+    return np.where(u == 0, np.nan, 0.0)[()]
+
+
+# the grammar's functions: name -> (evaluator, chain rule giving d/dx name(u)
+# from u and du = u')
+_FUNCS = {
+    "exp": (np.exp, lambda u, du: _mul(_call("exp", u), du)),
+    "log": (np.log, lambda u, du: _div(du, u)),
+    "sin": (np.sin, lambda u, du: _mul(_call("cos", u), du)),
+    "cos": (np.cos, lambda u, du: _neg(_mul(_call("sin", u), du))),
+    "tan": (np.tan, lambda u, du: _div(du, _pow(_call("cos", u), _TWO))),
+    "sinh": (np.sinh, lambda u, du: _mul(_call("cosh", u), du)),
+    "cosh": (np.cosh, lambda u, du: _mul(_call("sinh", u), du)),
+    "tanh": (np.tanh, lambda u, du: _div(du, _pow(_call("cosh", u), _TWO))),
+    "sqrt": (np.sqrt, lambda u, du: _div(du, _mul(_TWO, _call("sqrt", u)))),
+    "abs": (np.abs, lambda u, du: _mul(_call("sign", u), du)),
 }
+
+# plus the two that only derivative trees contain; no third derivative is
+# built, so sign' needs no chain rule
+_DERIV_FUNCS = {**_FUNCS, "sign": (np.sign, lambda u, du: _mul(_call("sign'", u), du)),
+                "sign'": (_sign_prime, None)}
 
 
 def _diff(node, var: str):
-    """The derivative in ``var`` of a validated tree, as a tree."""
+    """The derivative in ``var`` of a compiled tree, as a tree."""
     if isinstance(node, ast.Constant):
         return _ZERO
     if isinstance(node, ast.Name):
@@ -147,7 +109,7 @@ def _diff(node, var: str):
         return _neg(d) if isinstance(node.op, ast.USub) else d
     if isinstance(node, ast.Call):
         u = node.args[0]
-        return _CHAIN[node.func.id](u, _diff(u, var))
+        return _DERIV_FUNCS[node.func.id][1](u, _diff(u, var))
     u, v, op = node.left, node.right, type(node.op)
     du, dv = _diff(u, var), _diff(v, var)
     if op is ast.Add:
@@ -169,47 +131,59 @@ def _diff(node, var: str):
 
 
 # ---------------------------------------------------------------------------
-# compilation: tree -> closure of the variable
+# compilation: tree -> closure of the variable, checking each node against the
+# grammar on the way
 
 
-def _compile(node, var: str):
+def _compile(node, var: str, funcs):
     if isinstance(node, ast.Constant):
+        if not isinstance(node.value, (int, float)):
+            raise ValueError(f"literal {node.value!r} is not numeric")
         value = np.float64(node.value)
         return lambda x: value
     if isinstance(node, ast.Name):
         if node.id == var:
             return lambda x: x
+        if node.id not in _CONSTS:
+            raise ValueError(f"unknown name {node.id!r}; only {var!r}, pi, e are allowed")
         value = np.float64(_CONSTS[node.id])
         return lambda x: value
-    if isinstance(node, ast.UnaryOp):
-        operand = _compile(node.operand, var)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        operand = _compile(node.operand, var, funcs)
         return (lambda x: -operand(x)) if isinstance(node.op, ast.USub) else operand
     if isinstance(node, ast.Call):
-        func, arg = _EVAL_FUNCS[node.func.id], _compile(node.args[0], var)
+        if not (isinstance(node.func, ast.Name) and node.func.id in funcs):
+            raise ValueError(f"function not in the grammar: {ast.dump(node.func)}")
+        if node.keywords or len(node.args) != 1:
+            raise ValueError("grammar functions take exactly one positional argument")
+        func, arg = funcs[node.func.id][0], _compile(node.args[0], var, funcs)
         return lambda x: func(arg(x))
-    op, left, right = _OPS[type(node.op)], _compile(node.left, var), _compile(node.right, var)
-    return lambda x: op(left(x), right(x))
+    if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+        op = _OPS[type(node.op)]
+        left, right = _compile(node.left, var, funcs), _compile(node.right, var, funcs)
+        return lambda x: op(left(x), right(x))
+    raise ValueError(f"syntax not in the grammar: {type(node).__name__}")
 
 
 def compile_expr(text: str, var: str = "x") -> ScalarFunction1D:
     """Compile an expression into a ScalarFunction1D with exact derivatives.
 
-    Each of f, f', f'' is differentiated and compiled on its first call, so
-    a function that is only evaluated never builds its derivative trees.
+    f is compiled at once, so text outside the grammar raises here; f' and
+    f'' are differentiated and compiled on their first call, so a function
+    that is only evaluated never builds its derivative trees.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
-    _validate(tree, var)
-    trees, compiled = [tree.body], {}
+    trees, compiled = [tree.body], {0: _compile(tree.body, var, _FUNCS)}
 
     def evaluator(order: int):
         def evaluate(value):
             if order not in compiled:
                 while len(trees) <= order:
                     trees.append(_diff(trees[-1], var))
-                compiled[order] = _compile(trees[order], var)
+                compiled[order] = _compile(trees[order], var, _DERIV_FUNCS)
             # scalars as numpy float64, so that they follow array arithmetic
             return compiled[order](as_float(value))
         return evaluate

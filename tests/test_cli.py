@@ -435,7 +435,7 @@ class TestGeometryParams:
                 == (tmp_path / "shipped" / "records.csv").read_bytes())
 
     @pytest.mark.parametrize("edit, message", [
-        *[(f"mesh = {m}", f"mesh_size must be at least 4, got {m}")
+        *[(f"mesh = {m}", f"[params] mesh must be at least 4, got {m}")
           for m in (0, 1, -5, 2, 3)],
         *[(f"mesh = 2000\ngrid = {g}", f"[params] grid must be at least 1, got {g}")
           for g in (0, -1)],
@@ -785,6 +785,25 @@ domain = -3 3
             "certify/pointwise,N=-0.25;K=7.06755043059214,0.0,true\n")
 
 
+class TestOutDir:
+    @pytest.mark.parametrize("command, text", [("run", CONVEXITY_CFG),
+                                               ("certify", CERTIFY_CFG)])
+    @pytest.mark.parametrize("sub, reason", [("", "File exists"),
+                                             ("sub", "Not a directory")],
+                             ids=["file", "below-a-file"])
+    def test_unwritable_out_dir_is_an_error_line(self, tmp_path, capsys, command, text,
+                                                 sub, reason):
+        # tracebacks before: FileExistsError and NotADirectoryError
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / sub if sub else blocker
+        assert main([command, cfg, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write to the output directory {str(out)!r}: {reason}\n")
+        assert blocker.read_text(encoding="utf-8") == ""
+
+
 class TestQuietStderr:
     def test_nan_expression_run(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", CONVEXITY_CFG.replace(
@@ -897,6 +916,24 @@ class TestMerge:
         a = self._mk(tmp_path / "a.csv", [["s1/x", "", "0.1", "true"], ["s1/y", "0.2"]])
         assert main(["merge", a]) == 2
         assert capsys.readouterr().err == f"error: {a} line 3: 2 fields, expected 4\n"
+
+    @pytest.mark.parametrize("flag", ["True", "1", "", "pass", "false "])
+    def test_merge_pass_field_is_true_or_false(self, tmp_path, capsys, flag):
+        # such a row used to count silently as a failure
+        a = self._mk(tmp_path / "a.csv", [["s1/x", "", "0.1", "true"],
+                                          ["s1/y", "", "0.2", flag]])
+        assert main(["merge", a]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {a} line 3: pass field {flag!r} is not true or false\n")
+
+    def test_merge_echoes_infinite_and_nan_margins_as_written(self, tmp_path, capsys):
+        a = self._mk(tmp_path / "a.csv", [["s1/x", "K=1", "inf", "true"],
+                                          ["s1/y", "K=2", "-inf", "false"],
+                                          ["s1/z", "K=3", "nan", "false"]])
+        assert main(["merge", a]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "FAIL s1/y margin=-inf K=2", "FAIL s1/z margin=nan K=3",
+            "s1: 1/3 passed", "total: 1/3 passed"]
 
     @pytest.mark.parametrize("flag", ["--tol", "--seed", "--out-dir"])
     def test_merge_takes_no_run_flags(self, tmp_path, capsys, flag):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from negdimcd import (
     ConvexityParams,
@@ -68,6 +70,34 @@ class TestEqualityExamples:
             assert abs(rep.worst_margin) <= 1e-8
             rep = check_derivative(f, p, x0, x1)
             assert abs(rep.worst_margin) <= 1e-8
+
+    # (K, N) from the box of perfbench's grid-sweep equality tasks, on the
+    # CLI's window for each family.  Steeper family-a cases reach margins of
+    # an ulp of c_{K/N}(d) f_N(x0): 3e-8 at K = 3, N = -0.25 on (-2, 2)
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from("abcd"), K_abs=st.floats(0.3, 2.0),
+           N=st.floats(-6.0, -1.2),
+           ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=5),
+           t_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    def test_three_criteria_are_tight_at_random_k_n(self, kind, K_abs, N, ends, t_grid):
+        K = {"a": K_abs, "b": K_abs, "c": 0.0, "d": -K_abs}[kind]
+        f, dom = example_function(kind, K, N)
+        window = {"a": (-2.0, 2.0), "b": (0.25, 3.0), "c": (0.25, 4.0),
+                  "d": (0.9 * dom[0], 0.9 * dom[1])}[kind]
+        p = ConvexityParams(K, N, window)
+        rep = check_pointwise(f, p, interior_grid(window, 60))
+        assert abs(rep.worst_margin) <= 1e-8
+        lo, hi = window
+        for u0, u1 in ends:
+            x0, x1 = lo + u0 * (hi - lo), lo + u1 * (hi - lo)
+            if abs(x1 - x0) <= 1e-3 * (hi - lo):
+                continue
+            assert abs(x1 - x0) < p.radius_limit()
+            rep = check_geodesic(f, p, x0, x1, t_grid)
+            assert abs(rep.worst_margin) <= 1e-8, (x0, x1)
+            rep = check_derivative(f, p, x0, x1)
+            assert abs(rep.worst_margin) <= 1e-8, (x0, x1)
 
     def test_kind_c_formula(self):
         f, dom = example_function("c", 0.0, -2.0)

@@ -213,3 +213,40 @@ class TestConstants:
     def test_theta_variable(self):
         f = compile_expr("cos(theta)", var="theta")
         assert f.deriv(0.5) == -math.sin(0.5) and f.deriv2(0.5) == -math.cos(0.5)
+
+
+class TestGrammar:
+    @pytest.mark.parametrize("text, message", [
+        ("'a'", "literal 'a' is not numeric"),
+        ("x + None", "literal None is not numeric"),
+        ("y", "unknown name 'y'; only 'x', pi, e are allowed"),
+        # the derivative of abs is not config syntax
+        ("sign(x)", "function not in the grammar: Name(id='sign', ctx=Load())"),
+        ("np.exp(x)", "function not in the grammar: Attribute(value=Name(id='np', "
+                      "ctx=Load()), attr='exp', ctx=Load())"),
+        ("exp(x=1)", "grammar functions take exactly one positional argument"),
+        ("exp(x, x)", "grammar functions take exactly one positional argument"),
+        ("exp(*x)", "syntax not in the grammar: Starred"),
+        ("x % 2", "syntax not in the grammar: BinOp"),
+        ("x @ x", "syntax not in the grammar: BinOp"),
+        ("not x", "syntax not in the grammar: UnaryOp"),
+        ("~x", "syntax not in the grammar: UnaryOp"),
+        ("x < 1", "syntax not in the grammar: Compare"),
+        ("x[0]", "syntax not in the grammar: Subscript"),
+        ("lambda: x", "syntax not in the grammar: Lambda"),
+        ("x if x else 1", "syntax not in the grammar: IfExp"),
+        # the first node outside the grammar, left to right, is the one named
+        ("y + 'a'", "unknown name 'y'; only 'x', pi, e are allowed"),
+        ("exp(x) + sin(x) % 2", "syntax not in the grammar: BinOp"),
+    ], ids=["string", "none", "unknown-name", "sign", "attribute", "keyword",
+            "two-arguments", "starred", "mod", "matmul", "not", "invert", "compare",
+            "subscript", "lambda", "conditional", "first-of-two", "nested"])
+    def test_rejected_in_compile_expr(self, text, message):
+        with pytest.raises(ValueError) as info:
+            compile_expr(text)
+        assert str(info.value) == message
+
+    def test_variable_name_in_the_message(self):
+        with pytest.raises(ValueError) as info:
+            compile_expr("cos(x)", var="theta")
+        assert str(info.value) == "unknown name 'x'; only 'theta', pi, e are allowed"
