@@ -213,7 +213,7 @@ def _density_from(cfg, section: str) -> transport.Density1D:
 
 
 def _admissible_pairs(rng, window, limit, count):
-    """Segments of length in (1e-6 * window, min(limit, window))."""
+    """Ends x0, x1 of segments of length in (1e-6 * window, min(limit, window))."""
     lo, hi = window
     shortest, longest = 1e-6 * (hi - lo), min(limit, hi - lo)
     if not shortest < longest:
@@ -221,14 +221,7 @@ def _admissible_pairs(rng, window, limit, count):
                           f"{window} and pi*sqrt(N/K)={limit!r}")
     lengths = rng.uniform(shortest, longest, size=count)
     starts = rng.uniform(lo, hi - lengths)
-    return [(float(x0), float(x0 + d)) for x0, d in zip(starts, lengths)]
-
-
-def _fold(name: str, reports: Sequence[CheckReport]) -> CheckReport:
-    """One report over the worst margin of each of several reports."""
-    return CheckReport.from_margins(name, [r.worst_margin for r in reports],
-                                    [r.worst_location for r in reports],
-                                    reports[0].tolerance)
+    return starts, starts + lengths
 
 
 def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
@@ -241,16 +234,14 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
     t_grid = _unit_times(cfg, "t_grid", [0.25, 0.5, 0.75], _floats)
     tol = convexity.TOL_ANALYTIC if tol is None else tol
     rng = _rng(seed, "convexity-pairs")
-    pairs = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
+    x0, x1 = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
     grid = convexity.interior_grid(window, grid_n)
-    geo = _fold("geodesic", [convexity.check_geodesic(f, p, x0, x1, t_grid, tol)
-                             for x0, x1 in pairs])
-    der = _fold("derivative", [convexity.check_derivative(f, p, x0, x1, tol)
-                               for x0, x1 in pairs])
     return [_record("convexity", convexity.check_pointwise(f, p, grid, tol),
                     K=K, N=N, grid=grid_n),
-            _record("convexity", geo, K=K, N=N, pairs=n_pairs),
-            _record("convexity", der, K=K, N=N, pairs=n_pairs)]
+            _record("convexity", convexity.check_geodesic(f, p, x0, x1, t_grid, tol),
+                    K=K, N=N, pairs=n_pairs),
+            _record("convexity", convexity.check_derivative(f, p, x0, x1, tol),
+                    K=K, N=N, pairs=n_pairs)]
 
 
 def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:

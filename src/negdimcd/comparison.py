@@ -5,8 +5,8 @@ c(0)=1, c'(0)=0.  The ratios ``sigma`` and ``tau`` are the distortion
 coefficients used throughout the convexity and transport checkers; both obey
 extended-real conventions (``t=0``, ``theta=0``, out-of-domain +inf) so that
 callers never hit 0/0 or domain errors.  All functions accept floats or numpy
-arrays and are pure.  ``negative_n`` and ``segment_limit`` state, for every
-module, the range of N and the segment length the K < 0 inequalities control.
+arrays and are pure.  ``negative_n`` and ``below_segment_limit`` state, for every
+module, the range of N and the segment lengths the K < 0 inequalities control.
 """
 
 from __future__ import annotations
@@ -138,6 +138,18 @@ def segment_limit(K, N):
     """Length pi*sqrt(N/K) below which the (K, N) inequalities with N < 0
     control a segment when K < 0; +inf when K >= 0."""
     return math.pi * math.sqrt(N / K) if K < 0 else math.inf
+
+
+def below_segment_limit(lengths, K, N):
+    """``lengths`` (a numpy scalar or array) when each lies below
+    segment_limit(K, N); else ValueError naming the longest."""
+    limit = segment_limit(K, N)
+    if np.count_nonzero(lengths >= limit):
+        raise ValueError(
+            f"segment length {float(np.max(lengths))!r} reaches "
+            f"pi*sqrt(N/K)={limit!r}; the K<0 inequalities control shorter "
+            "segments only")
+    return lengths
 
 
 def _pow_inv(x, exponent):

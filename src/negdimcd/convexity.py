@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .comparison import c, negative_n, s, segment_limit, sigma
+from .comparison import below_segment_limit, c, negative_n, s, segment_limit, sigma
 from .functions import ScalarFunction1D, as_float, exp_transform
 from .report import CheckReport
 
@@ -100,14 +100,14 @@ def check_pointwise(f: ScalarFunction1D, p: ConvexityParams,
     return CheckReport.from_margins("pointwise", margins, x, tol, note=note)
 
 
-def geodesic_margin(f: ScalarFunction1D, K: float, N: float,
-                    x0: float, x1: float, t):
-    """Signed margin of the distortion inequality along the segment x0 -> x1.
+def geodesic_margin(f: ScalarFunction1D, K: float, N: float, x0, x1, t):
+    """Signed margin of the distortion inequality along segments x0 -> x1.
 
     Oriented so that >= 0 means the (K, N) inequality holds at parameter t;
     for N > 0 the inequality reverses and the sign convention follows it.
     Is +inf where an out-of-domain coefficient makes the claim trivial.
-    ``t`` may be an array of parameters.
+    ``x0``, ``x1`` and ``t`` are scalars or arrays broadcast against each
+    other; f_N is evaluated at the ends on their own shape.
     """
     if N == 0:
         raise ValueError("N must be nonzero")
@@ -116,44 +116,52 @@ def geodesic_margin(f: ScalarFunction1D, K: float, N: float,
     t = np.asarray(t, dtype=float)
     w0 = sigma(K / N, 1.0 - t, d)
     w1 = sigma(K / N, t, d)
-    combo = w0 * float(fN(x0)) + w1 * float(fN(x1))
+    combo = w0 * fN(x0) + w1 * fN(x1)
     mid = fN((1.0 - t) * x0 + t * x1)
     margin = np.where(np.isinf(w0) | np.isinf(w1), math.inf,
                       combo - mid if N < 0 else mid - combo)
     return float(margin) if margin.ndim == 0 else margin
 
 
-def check_geodesic(f: ScalarFunction1D, p: ConvexityParams, x0: float, x1: float,
+def check_geodesic(f: ScalarFunction1D, p: ConvexityParams, x0, x1,
                    t_grid: Sequence[float], tol: float = TOL_ANALYTIC) -> CheckReport:
-    """Segment criterion: sigma-weighted endpoint combination dominates f_N."""
-    d = abs(x1 - x0)
-    if d >= p.radius_limit():
-        raise ValueError(
-            f"segment length {d!r} reaches pi*sqrt(N/K)={p.radius_limit()!r}; "
-            "the K<0 inequality controls shorter segments only")
+    """Segment criterion: sigma-weighted endpoint combination dominates f_N.
+
+    ``x0`` and ``x1`` are the ends of one segment or equal-length arrays of
+    ends; the margins of every segment at every t reduce to one report.
+    """
+    x0, x1 = as_float(x0), as_float(x1)
+    below_segment_limit(abs(x1 - x0), p.K, p.N)
     t = np.asarray(t_grid, dtype=float)
-    margins = geodesic_margin(f, p.K, p.N, x0, x1, t)
-    locations = np.column_stack([np.full_like(t, x0), np.full_like(t, x1), t])
+    # t along the first axis: the transpose lists the margins segment by segment
+    margins = geodesic_margin(f, p.K, p.N, x0, x1, t[:, None]).T.ravel()
+    locations = np.column_stack([np.repeat(x0, t.size), np.repeat(x1, t.size),
+                                 np.tile(t, x0.size)])
     return CheckReport.from_margins("geodesic", margins, locations, tol)
 
 
-def check_derivative(f: ScalarFunction1D, p: ConvexityParams, x0: float,
-                     x1: float, tol: float = TOL_ANALYTIC) -> CheckReport:
-    """Endpoint-derivative criterion along the segment x0 -> x1.
+def check_derivative(f: ScalarFunction1D, p: ConvexityParams, x0, x1,
+                     tol: float = TOL_ANALYTIC) -> CheckReport:
+    """Endpoint-derivative criterion along segments x0 -> x1 (one, or
+    equal-length arrays of ends).
 
     Margin: f_N(x1) - c_{K/N}(d) f_N(x0) - (s_{K/N}(d)/d) * (f_N o gamma)'(0).
+    Its terms grow like exp(sqrt(|K/N|) d) f_N(x0), so each margin passes
+    when it is at least -tol times the largest of 1 and their absolute values.
     """
+    x0, x1 = as_float(x0), as_float(x1)
     d = abs(x1 - x0)
-    if d == 0:
+    if np.count_nonzero(d) < d.size:
         raise ValueError("x0 and x1 must differ (nonconstant segment required)")
-    if d >= p.radius_limit():
-        raise ValueError(
-            f"segment length {d!r} reaches pi*sqrt(N/K)={p.radius_limit()!r}")
+    below_segment_limit(d, p.K, p.N)
     fN = exp_transform(f, p.N)
     kappa = p.K / p.N
-    dir_deriv = float(fN.deriv(x0)) * (x1 - x0)
-    margin = float(fN(x1)) - c(kappa, d) * float(fN(x0)) - s(kappa, d) / d * dir_deriv
-    return CheckReport.from_margins("derivative", [margin], [(x0, x1)], tol)
+    end, start = fN(x1), c(kappa, d) * fN(x0)
+    slope = s(kappa, d) / d * (fN.deriv(x0) * (x1 - x0))
+    scale = np.maximum(np.maximum(abs(end), abs(start)), np.maximum(abs(slope), 1.0))
+    return CheckReport.from_margins("derivative", (end - start - slope).reshape(-1),
+                                    np.asarray([x0, x1]).reshape(2, -1).T, tol,
+                                    scale=scale)
 
 
 def scale_shift(K: float, N: float, scale: float, shift: float) -> Tuple[float, float]:

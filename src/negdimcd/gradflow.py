@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .comparison import c, negative_n, s, segment_limit
+from .comparison import below_segment_limit, c, negative_n, s
 from .functions import ScalarFunction1D, exp_transform
 from .report import CheckReport
 
@@ -172,13 +172,6 @@ def verify_edi(curve: GradientCurve, f: ScalarFunction1D, t_from: float,
     return CheckReport.from_margins("edi", [-abs(resid)], [(t_from, t_to)], tol)
 
 
-def _check_radius(dists: np.ndarray, K: float, N: float) -> None:
-    limit = segment_limit(K, N)
-    if np.any(dists >= limit):
-        raise ValueError(
-            f"distance to the reference point reaches pi*sqrt(N/K)={limit!r}")
-
-
 def _sq_dist_halves(dists, K: float, N: float):
     """s_{K/N}(d/2)^2 at a distance or an array of distances."""
     return np.asarray(s(K / N, dists / 2.0), dtype=float) ** 2
@@ -204,8 +197,7 @@ def verify_evi(curve: GradientCurve, f: ScalarFunction1D, K: float, N: float,
     negative_n(N)
     fN = exp_transform(f, N)
     x = curve.points
-    dists = np.abs(x - z)
-    _check_radius(dists, K, N)
+    dists = below_segment_limit(np.abs(x - z), K, N)
     sk = s(K / N, dists / 2.0)
     dS = sk * c(K / N, dists / 2.0) * np.sign(x - z) * -f.deriv(x)
     ratio = float(fN(z)) / np.asarray(fN(x), dtype=float)
@@ -245,8 +237,7 @@ def verify_evi_integrated(curve: GradientCurve, f: ScalarFunction1D, K: float,
         raise ValueError(f"need 0 <= t0 <= t1, got t0={t0!r} and t1={t1!r}")
     i0, i1 = curve.index_at(t0), curve.index_at(t1)
     fN = exp_transform(f, N)
-    dists = np.abs(curve.points[i0:i1 + 1] - z)
-    _check_radius(dists, K, N)
+    below_segment_limit(np.abs(curve.points[i0:i1 + 1] - z), K, N)
     S0 = _sq_dist_halves(abs(curve.points[i0] - z), K, N)
     S1 = _sq_dist_halves(abs(curve.points[i1] - z), K, N)
     dt = curve.times[i1] - curve.times[i0]
@@ -277,8 +268,7 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
         if z is None or t is None:
             raise ValueError("mode 'regularity' needs z and t")
         i = curve.index_at(t)
-        dists = np.abs(curve.points[: i + 1] - z)
-        _check_radius(dists, K, N)
+        below_segment_limit(np.abs(curve.points[: i + 1] - z), K, N)
         S0 = _sq_dist_halves(abs(curve.points[0] - z), K, N)
         lhs = float(fN(z)) / float(fN(curve.points[i]))
         rhs = 1.0 + 2.0 / (N * _expm1_over(K, float(curve.times[i]))) * S0
@@ -287,8 +277,7 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
         if t0 is None or t1 is None or inf_f is None:
             raise ValueError("mode 'continuity' needs t0, t1 and inf_f")
         i0, i1 = curve.index_at(t0), curve.index_at(t1)
-        dists = np.abs(curve.points[i0:i1 + 1] - curve.points[i0])
-        _check_radius(dists, K, N)
+        below_segment_limit(np.abs(curve.points[i0:i1 + 1] - curve.points[i0]), K, N)
         S = _sq_dist_halves(abs(curve.points[i1] - curve.points[i0]), K, N)
         inf_fN = math.exp(-inf_f / N)
         rhs = (N * (-_expm1_over(K, t0 - t1)) / 2.0

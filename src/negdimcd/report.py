@@ -55,22 +55,21 @@ class CheckReport:
             raise ValueError("margins and locations must align")
         if not len(m):
             raise ValueError("no margins to reduce")
-        nan = np.isnan(m)
-        i = int(np.argmax(nan)) if nan.any() else int(np.argmin(m))
+        i = int(np.argmin(m))  # argmin stops at the first NaN
         where = locations[i]
         if isinstance(locations, np.ndarray):
             where = where.item() if where.ndim == 0 else tuple(where.tolist())
         worst = float(m[i])
         common = dict(name=name, n_evaluations=len(m), tolerance=tolerance,
                       details=details or {})
-        if nan.any():
+        if math.isnan(worst):
             return cls(passed=False, worst_margin=math.nan, worst_location=where,
                        status="inconclusive", note=note or "nan margin", **common)
         if worst == math.inf:
             return cls(passed=True, worst_margin=math.inf, worst_location=None,
                        status="trivial", note=note, **common)
         passed = (worst >= -tolerance if scale is None
-                  else np.all(m >= -tolerance * np.asarray(scale, dtype=float)))
+                  else (m >= -tolerance * np.asarray(scale, dtype=float)).all())
         return cls(passed=bool(passed), worst_margin=worst,
                    worst_location=where, note=note, **common)
 

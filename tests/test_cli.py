@@ -86,6 +86,36 @@ class TestRun:
             assert abs(float(r[2])) <= 1e-8
         assert (out / "summary.txt").read_text().count("PASS") == 3
 
+    # family a at K = 3.9, N = -0.47 on (-2, 2): c_{K/N}(d) f_N(x0) reaches
+    # 6.7e6, and the equality case reads -1.86e-9 there, two ulps of it
+    @pytest.mark.parametrize("seed", ["2", "3"])
+    def test_derivative_round_off_passes_and_a_larger_k_fails(self, tmp_path, seed):
+        text = """
+[run]
+suite = convexity
+
+[function]
+{function}
+
+[params]
+K = {K}
+N = -0.47
+pairs = 400
+"""
+        cfg = write_cfg(tmp_path / "a.cfg", text.format(function="kind = a", K=3.9))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "a"), "--seed", seed]) == 0
+        _, rows = read_records(tmp_path / "a")
+        assert rows[2] == ["convexity/derivative", "K=3.9;N=-0.47;pairs=400",
+                           "-1.862645149230957e-09", "true"]
+        # the same function as an expression, claimed at K * (1 + 1e-6)
+        function = "expr = 0.47*log(cosh(sqrt(3.9/0.47)*x))\ndomain = -2 2"
+        cfg = write_cfg(tmp_path / "k.cfg", text.format(function=function,
+                                                        K=3.9 * (1 + 1e-6)))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "k"), "--seed", seed]) == 1
+        _, rows = read_records(tmp_path / "k")
+        assert rows[2][0] == "convexity/derivative" and rows[2][3] == "false"
+        assert float(rows[2][2]) < -3.0
+
     def test_rejects_positive_n(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "bad.cfg", CONVEXITY_CFG.replace("N = -2", "N = 2"))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
@@ -567,8 +597,8 @@ class TestRecordValues:
 
     def test_undefined_points_keep_minus_inf_and_nan(self, tmp_path, capsys):
         # sqrt is undefined on x < 0: the pointwise margin there is -inf, and
-        # the pairs reaching x < 0 have NaN margins, which the fold over pairs
-        # keeps beside the finite ones of pairs inside (0, 3)
+        # the pairs reaching x < 0 have NaN margins, which the reduction over
+        # all pairs keeps beside the finite ones of pairs inside (0, 3)
         cfg = write_cfg(tmp_path / "s.cfg", SQRT_CFG)
         with np.errstate(invalid="ignore"):
             assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 1

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from negdimcd import (
@@ -22,8 +22,10 @@ from negdimcd import (
     scale_shift,
     sum_rule,
 )
+from negdimcd.expr import compile_expr
 
 from conftest import log_fn, quadratic
+from test_expr import expressions
 
 # (kind, K, N, evaluation window)
 EQUALITY_CASES = [
@@ -65,11 +67,11 @@ class TestEqualityExamples:
         rng = np.random.default_rng(7)
         rep = check_pointwise(f, p, interior_grid(window, 60))
         assert rep.passed and abs(rep.worst_margin) <= 1e-8
-        for x0, x1 in admissible_pairs(rng, window, p.radius_limit(), 50):
-            rep = check_geodesic(f, p, x0, x1, [0.25, 0.5, 0.75])
-            assert abs(rep.worst_margin) <= 1e-8
-            rep = check_derivative(f, p, x0, x1)
-            assert abs(rep.worst_margin) <= 1e-8
+        x0, x1 = np.transpose(admissible_pairs(rng, window, p.radius_limit(), 50))
+        rep = check_geodesic(f, p, x0, x1, [0.25, 0.5, 0.75])
+        assert abs(rep.worst_margin) <= 1e-8
+        rep = check_derivative(f, p, x0, x1)
+        assert abs(rep.worst_margin) <= 1e-8
 
     # (K, N) from the box of perfbench's grid-sweep equality tasks, on the
     # CLI's window for each family.  Steeper family-a cases reach margins of
@@ -89,15 +91,15 @@ class TestEqualityExamples:
         rep = check_pointwise(f, p, interior_grid(window, 60))
         assert abs(rep.worst_margin) <= 1e-8
         lo, hi = window
-        for u0, u1 in ends:
-            x0, x1 = lo + u0 * (hi - lo), lo + u1 * (hi - lo)
-            if abs(x1 - x0) <= 1e-3 * (hi - lo):
-                continue
-            assert abs(x1 - x0) < p.radius_limit()
+        x0, x1 = lo + np.transpose(ends) * (hi - lo)
+        longer = np.abs(x1 - x0) > 1e-3 * (hi - lo)
+        x0, x1 = x0[longer], x1[longer]
+        if x0.size:
+            assert (np.abs(x1 - x0) < p.radius_limit()).all()
             rep = check_geodesic(f, p, x0, x1, t_grid)
-            assert abs(rep.worst_margin) <= 1e-8, (x0, x1)
+            assert abs(rep.worst_margin) <= 1e-8, rep.worst_location
             rep = check_derivative(f, p, x0, x1)
-            assert abs(rep.worst_margin) <= 1e-8, (x0, x1)
+            assert abs(rep.worst_margin) <= 1e-8, rep.worst_location
 
     def test_kind_c_formula(self):
         f, dom = example_function("c", 0.0, -2.0)
@@ -211,6 +213,61 @@ class TestDistanceGate:
         limit = math.pi * math.sqrt(N / K)
         with pytest.raises(ValueError):
             check_geodesic(f, p, -0.55 * limit, 0.55 * limit, [0.5])
+
+    @pytest.mark.parametrize("check", [
+        lambda f, p, x0, x1: check_geodesic(f, p, x0, x1, [0.5]), check_derivative])
+    def test_array_with_long_segments_names_the_longest(self, check):
+        # pi*sqrt(N/K) = 4.44: the second and fourth segments reach it
+        p = ConvexityParams(-1.0, -2.0, (-5.0, 5.0))
+        x0, x1 = np.array([0.0, 4.5, -3.0, -2.0]), np.array([1.0, -1.0, 0.5, 3.0])
+        with pytest.raises(ValueError, match=r"segment length 5\.5 reaches"):
+            check(quadratic(-1.0), p, x0, x1)
+
+
+def _fold_reference(reports):
+    """Worst margin, its location and the pass flag of per-segment reports:
+    the first NaN, else the first least margin; passed when each passed."""
+    worsts = [r.worst_margin for r in reports]
+    nans = [i for i, m in enumerate(worsts) if math.isnan(m)]
+    i = nans[0] if nans else min(range(len(worsts)), key=worsts.__getitem__)
+    return worsts[i], reports[i].worst_location, all(r.passed for r in reports)
+
+
+class TestSegmentArrays:
+    """One call on arrays of segments against one call per segment."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(source=st.one_of(st.sampled_from("abcd"), expressions),
+           K_abs=st.floats(0.3, 2.0), N=st.floats(-6.0, -0.3),
+           ends=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                         min_size=1, max_size=12),
+           t_grid=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_array_call_is_the_fold_of_segment_calls(self, source, K_abs, N, ends,
+                                                       t_grid):
+        if isinstance(source, str):
+            K = {"a": K_abs, "b": K_abs, "c": 0.0, "d": -K_abs}[source]
+            f, dom = example_function(source, K, N)
+            window = {"a": (-2.0, 2.0), "b": (0.25, 3.0), "c": (0.25, 4.0),
+                      "d": (0.9 * dom[0], 0.9 * dom[1])}[source]
+        else:
+            K, f, window = K_abs - 1.0, compile_expr(source[0]), (0.25, 3.0)
+        p = ConvexityParams(K, N, window)
+        lo, hi = window
+        x0, x1 = lo + np.transpose(ends) * (hi - lo)
+        # the derivative criterion needs x0 != x1; about half the pairs run
+        # right to left
+        kept = (x0 != x1) & (np.abs(x1 - x0) < p.radius_limit())
+        assume(kept.any())
+        x0, x1 = x0[kept], x1[kept]
+        with np.errstate(all="ignore"):
+            for check in (lambda a, b: check_geodesic(f, p, a, b, t_grid),
+                          lambda a, b: check_derivative(f, p, a, b)):
+                whole = check(x0, x1)
+                parts = [check(float(a), float(b)) for a, b in zip(x0, x1)]
+                worst, where, passed = _fold_reference(parts)
+                assert np.float64(whole.worst_margin).tobytes() == \
+                    np.float64(worst).tobytes()
+                assert (whole.worst_location, whole.passed) == (where, passed)
 
 
 class TestScaleShift:
@@ -398,17 +455,11 @@ class TestEquivalenceChain:
         hi = min(window[1] - 0.01, xstar + 0.15)
         limit = p.radius_limit()
         rng = np.random.default_rng(101)
-        pairs = [(lo, hi), (hi, lo)] + [
-            (a, b) for a, b in admissible_pairs(rng, window, min(limit, 1.0), 50)]
-        geo_margin = math.inf
-        der_margin = math.inf
-        for x0, x1 in pairs:
-            if abs(x1 - x0) >= limit:
-                continue
-            rep = check_geodesic(f, p, x0, x1, [0.25, 0.5, 0.75], tol=1e-6)
-            geo_margin = min(geo_margin, rep.worst_margin)
-            rep = check_derivative(f, p, x0, x1, tol=1e-6)
-            der_margin = min(der_margin, rep.worst_margin)
+        pairs = np.array([(lo, hi), (hi, lo)]
+                         + admissible_pairs(rng, window, min(limit, 1.0), 50))
+        x0, x1 = pairs[np.abs(pairs[:, 1] - pairs[:, 0]) < limit].T
+        geo_margin = check_geodesic(f, p, x0, x1, [0.25, 0.5, 0.75], tol=1e-6).worst_margin
+        der_margin = check_derivative(f, p, x0, x1, tol=1e-6).worst_margin
         return (rep_pt.worst_margin >= -1e-6, geo_margin >= -1e-6,
                 der_margin >= -1e-6)
 
