@@ -23,9 +23,13 @@ __all__ = ["s", "c", "sigma", "tau", "g_combiner", "SERIES_THRESHOLD"]
 SERIES_THRESHOLD = 1e-6
 
 
+def _s_defect(u):
+    """1 - s(kappa, theta)/theta by its series in u = kappa*theta^2."""
+    return u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0))
+
+
 def _s_series(kappa, theta):
-    u = kappa * theta * theta
-    return theta * (1.0 - u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0)))
+    return theta * (1.0 - _s_defect(kappa * theta * theta))
 
 
 def _c_series(kappa, theta):
@@ -92,10 +96,9 @@ def _distortion(kappa, t, theta, power):
     t, theta = _t_and_theta(t, theta)
 
     def from_log(k, tt, th):
-        def log_s_over(x):
-            u = k * x * x
-            return np.log1p(-u / 6.0 * (1.0 - u / 20.0 * (1.0 - u / 42.0)))
-        return tt * np.exp(power * (log_s_over(tt * th) - log_s_over(th)))
+        x = tt * th
+        return tt * np.exp(power * (np.log1p(-_s_defect(k * x * x))
+                                    - np.log1p(-_s_defect(k * th * th))))
 
     series = np.abs(kappa) * theta * theta <= SERIES_THRESHOLD
     if series.all():
@@ -179,10 +182,7 @@ def g_combiner(t, theta, eta, kappa):
     kappa = np.asarray(kappa, dtype=float)
     if np.any(kappa >= math.pi**2):
         raise ValueError("kappa must be below pi**2")
-    t = np.asarray(t, dtype=float)
-    if np.any((t < 0) | (t > 1)):
-        raise ValueError("t must lie in [0, 1]")
-    w0 = sigma(kappa, 1.0 - t, np.ones_like(kappa))
-    w1 = sigma(kappa, t, np.ones_like(kappa))
-    out = np.log(w0 * np.exp(theta) + w1 * np.exp(eta))
+    t, kappa = np.broadcast_arrays(np.asarray(t, dtype=float), kappa)
+    w = sigma(kappa, np.stack((1.0 - t, t)), np.ones_like(kappa))
+    out = np.log(w[0] * np.exp(theta) + w[1] * np.exp(eta))
     return float(out) if out.ndim == 0 else out

@@ -91,8 +91,9 @@ def check_pointwise(f: ScalarFunction1D, p: ConvexityParams,
     # f_N = exp(-f/N) > 0 may overflow to inf: the margin keeps the sign of
     # be - K there, and is exactly 0 where be == K
     undefined = ~np.isfinite(be) | np.isnan(fx)
-    margins = np.where(undefined, -math.inf,
-                       np.where(gap == 0, 0.0, np.exp(-fx / p.N) / -p.N * gap))
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = np.where(undefined, -math.inf,
+                           np.where(gap == 0, 0.0, np.exp(-fx / p.N) / -p.N * gap))
     note = ""
     if undefined.any():
         bad = float(x[np.flatnonzero(undefined)[0]])
@@ -111,14 +112,13 @@ def geodesic_margin(f: ScalarFunction1D, K: float, N: float, x0, x1, t):
     """
     if N == 0:
         raise ValueError("N must be nonzero")
-    d = abs(x1 - x0)
     fN = exp_transform(f, N)
-    t = np.asarray(t, dtype=float)
-    w0 = sigma(K / N, 1.0 - t, d)
-    w1 = sigma(K / N, t, d)
-    combo = w0 * fN(x0) + w1 * fN(x1)
+    d, t = np.broadcast_arrays(abs(x1 - x0), np.asarray(t, dtype=float))
+    # the coefficients at 1 - t and at t along a leading axis
+    w = sigma(K / N, np.stack((1.0 - t, t)), d)
+    combo = w[0] * fN(x0) + w[1] * fN(x1)
     mid = fN((1.0 - t) * x0 + t * x1)
-    margin = np.where(np.isinf(w0) | np.isinf(w1), math.inf,
+    margin = np.where(np.isinf(w).any(axis=0), math.inf,
                       combo - mid if N < 0 else mid - combo)
     return float(margin) if margin.ndim == 0 else margin
 

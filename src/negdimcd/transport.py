@@ -158,7 +158,7 @@ def gaussian_density(mean: float, sd: float, quad_nodes: int = 8192) -> Density1
     """Normal density truncated at 8 standard deviations (tail mass below
     1e-14, within the exact-mass tolerance)."""
     if sd <= 0:
-        raise ValueError("sd must be positive")
+        raise ValueError(f"sd must be positive, got {sd!r}")
     norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
 
     def pdf(x):
@@ -339,19 +339,17 @@ def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
     rho0 = np.maximum(_weighted_density_values(mu0, space, xs), _DENSITY_FLOOR)
     rho1 = np.maximum(_weighted_density_values(mu1, space, Tx), _DENSITY_FLOOR)
     clamped = bool(np.any(rho0 <= _DENSITY_FLOOR) or np.any(rho1 <= _DENSITY_FLOOR))
-    # axes: t, x
+    # axes: t, x; the coefficients add an end (1 - t or t) in front
     t = np.asarray(t_grid, dtype=float)[:, None]
+    ends = np.stack((1.0 - t, t))
     jac_over_rho0 = path.jacobian(space, t, xs) / rho0
     margins, scales = [], []
     for npr in n_primes:
-        if mode == "CD":
-            coef0, coef1 = tau(K, npr, 1.0 - t, theta), tau(K, npr, t, theta)
-        else:
-            coef0, coef1 = sigma(K / npr, 1.0 - t, theta), sigma(K / npr, t, theta)
-        lhs = np.sum(meas * (coef0 * np.exp(-np.log(rho0) / npr)
-                             + coef1 * np.exp(-np.log(rho1) / npr)), axis=1)
+        coef = tau(K, npr, ends, theta) if mode == "CD" else sigma(K / npr, ends, theta)
+        lhs = np.sum(meas * (coef[0] * np.exp(-np.log(rho0) / npr)
+                             + coef[1] * np.exp(-np.log(rho1) / npr)), axis=1)
         s_t = np.sum(meas * np.exp(np.log(jac_over_rho0) / npr), axis=1)
-        trivial = np.any(np.isinf(coef0) | np.isinf(coef1), axis=1)
+        trivial = np.isinf(coef).any(axis=(0, 2))
         margins.append(np.where(trivial, math.inf, lhs - s_t))
         scales.append(np.maximum(s_t, 1.0))
     locations = [(tt, npr) for npr in n_primes for tt in t[:, 0].tolist()]
@@ -380,10 +378,9 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
     j1 = path.jacobian(space, 1.0, xs)
     # axes: t, x
     t = np.asarray(t_grid, dtype=float)[:, None]
-    coef0 = tau(K, N, 1.0 - t, theta)
-    coef1 = tau(K, N, t, theta)
+    coef = tau(K, N, np.stack((1.0 - t, t)), theta)
     jt = path.jacobian(space, t, xs)
-    margins = coef0 + coef1 * np.exp(np.log(j1) / N) - np.exp(np.log(jt) / N)
+    margins = coef[0] + coef[1] * np.exp(np.log(j1) / N) - np.exp(np.log(jt) / N)
     locations = np.stack(np.broadcast_arrays(xs, t), axis=-1).reshape(-1, 2)
     return CheckReport.from_margins("jacobian-convexity", margins.ravel(), locations,
                                     tol)
@@ -408,10 +405,11 @@ def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
     negative_n(N)
     if mode not in ("BM", "BMstar"):
         raise ValueError("mode must be 'BM' or 'BMstar'")
+    for name, (lo, hi) in (("A0", A0), ("A1", A1)):
+        if not lo < hi:
+            raise ValueError(f"{name} {(lo, hi)!r} is empty: need lo < hi")
     a0, b0 = A0
     a1, b1 = A1
-    if not (a0 < b0 and a1 < b1):
-        raise ValueError("empty interval")
     at = ((1.0 - t) * a0 + t * a1, (1.0 - t) * b0 + t * b1)
     m0 = _interval_measure(space, A0)
     m1 = _interval_measure(space, A1)
@@ -419,16 +417,13 @@ def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
     d_min = max(0.0, max(a1 - b0, a0 - b1))
     d_max = max(abs(b1 - a0), abs(b0 - a1))
     thetas = np.linspace(d_min, d_max, 512)
-    if mode == "BM":
-        c0 = np.max(tau(K, N, 1.0 - t, thetas))
-        c1 = np.max(tau(K, N, t, thetas))
-    else:
-        c0 = np.max(sigma(K / N, 1.0 - t, thetas))
-        c1 = np.max(sigma(K / N, t, thetas))
+    ends = [[1.0 - t], [t]]
+    c0, c1 = np.max(tau(K, N, ends, thetas) if mode == "BM"
+                    else sigma(K / N, ends, thetas), axis=1).tolist()
     margin = math.inf
     if not (math.isinf(c0) or math.isinf(c1)):
         powm = lambda m: math.exp(math.log(m) / N)
-        margin = float(c0) * powm(m0) + float(c1) * powm(m1) - powm(mt)
+        margin = c0 * powm(m0) + c1 * powm(m1) - powm(mt)
     return CheckReport.from_margins(f"bm-{mode.lower()}", [margin], [(A0, A1, t)],
                                     tol, details={"m0": m0, "m1": m1, "mt": mt})
 
@@ -451,10 +446,10 @@ def check_entropic_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D,
     ent0 = relative_entropy(mu0, space)
     ent1 = relative_entropy(mu1, space)
     t = np.asarray(t_grid, dtype=float)
-    w0, w1 = sigma(K / N, 1.0 - t, W), sigma(K / N, t, W)
+    w = sigma(K / N, np.stack((1.0 - t, t)), W)
     ent_t = ent0 - np.sum(meas * np.log(path.jacobian(space, t[:, None], xs)), axis=1)
-    margins = np.where(np.isinf(w0) | np.isinf(w1), math.inf,
-                       w0 * math.exp(-ent0 / N) + w1 * math.exp(-ent1 / N)
+    margins = np.where(np.isinf(w).any(axis=0), math.inf,
+                       w[0] * math.exp(-ent0 / N) + w[1] * math.exp(-ent1 / N)
                        - np.exp(-ent_t / N))
     return CheckReport.from_margins("entropic-cd", margins, t, tol,
                                     details={"w2": W})

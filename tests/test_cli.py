@@ -689,6 +689,20 @@ checks = entropic
         assert capsys.readouterr().err == (
             "error: horizon/step = 1000000000.0/0.001 is more than 1000000 RK4 steps\n")
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("transport-model-weight", ("A0 = 1 2", "A0 = 2 1"),
+         "A0 (2.0, 1.0) is empty: need lo < hi"),
+        ("transport-gaussian", ("mean = 1.0\nsd = 1.0", "mean = 1.0\nsd = 0"),
+         "sd must be positive, got 0.0"),
+    ], ids=["empty-A0", "zero-sd"])
+    def test_bad_measure_names_its_value(self, tmp_path, capsys, name, edit, message):
+        text = shipped(name)
+        assert edit[0] in text
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text", [
         CONVEXITY_CFG + "grid = 1000000000000000\n",
         CONVEXITY_CFG.replace("pairs = 25", "pairs = 1000000000000000"),

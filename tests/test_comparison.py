@@ -209,6 +209,42 @@ class TestArrayEqualsScalar:
                 assert _same_bits(got, np.reshape(want, grids[0].shape))
 
 
+class TestStackedEnds:
+    """Times (1 - t, t) stacked on a leading axis give, bit for bit, the two
+    separate calls: the checkers ask for both ends of a segment at once."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kappas=st.lists(KAPPA, min_size=1, max_size=5),
+           ts=st.lists(T, min_size=1, max_size=4),
+           thetas=st.lists(THETA, min_size=1, max_size=5),
+           layout=st.sampled_from(["scalar", "outer", "column", "paired"]),
+           N=st.floats(-20.0, -0.05), kappa_array=st.booleans())
+    # every value on the series branch
+    @example(kappas=[1e-12], ts=[0.0, 0.3, 1.0], thetas=[0.0, 1e-4, 0.5],
+             layout="outer", N=-2.0, kappa_array=False)
+    # series, closed form and +inf in one array, t = 0 and t = 1
+    @example(kappas=[-1e-12, 0.0, 1e-12, 4.0, -3.0], ts=[0.0, 0.5, 1.0],
+             thetas=[0.0, 1e-4, 1.0, 1.6, 150.0], layout="outer", N=-0.5,
+             kappa_array=True)
+    # a column of theta against a row of times, +inf from theta >= pi/2
+    @example(kappas=[4.0], ts=[0.0, 0.25], thetas=[1.0, 1.6, 3.0],
+             layout="column", N=-3.0, kappa_array=False)
+    def test_stacked_call_equals_two_calls(self, kappas, ts, thetas, layout, N,
+                                           kappa_array):
+        t, theta = {"scalar": (np.array(ts), thetas[0]),
+                    "outer": (np.array(ts)[:, None], np.array(thetas)),
+                    "column": (np.array(ts)[None, :], np.array(thetas)[:, None]),
+                    "paired": (np.array(ts), np.resize(thetas, len(ts)))}[layout]
+        kappa = np.resize(kappas, np.shape(theta)) if kappa_array else kappas[0]
+        K = np.multiply(kappa, N - 1.0)
+        ends = np.stack((1.0 - t, t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn in (lambda tt: sigma(kappa, tt, theta),
+                       lambda tt: tau(K, N, tt, theta)):
+                want = np.stack(np.broadcast_arrays(fn(1.0 - t), fn(t)))
+                assert _same_bits(fn(ends), want)
+
+
 class TestContinuityAcrossBranches:
     """s, c, sigma and tau follow the 50-digit oracle on both sides of
     SERIES_THRESHOLD and of kappa = 0."""
@@ -272,6 +308,18 @@ class TestGCombiner:
     def test_rejects_large_kappa(self):
         with pytest.raises(ValueError):
             g_combiner(0.5, 0.0, 0.0, math.pi**2)
+
+    @pytest.mark.parametrize("t", [1.5, -0.1, [0.5, 1.0 + 1e-12]])
+    def test_rejects_t_outside_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            g_combiner(t, 0.0, 0.0, 1.0)
+
+    def test_array_call_equals_scalar_calls(self):
+        # t broadcasts against kappa, theta and eta
+        t, kappa = np.array([[0.0], [0.3], [1.0]]), np.array([-4.0, 0.0, 1e-12, 2.0])
+        got = g_combiner(t, 0.4, -1.1, kappa)
+        want = [[g_combiner(float(tt), 0.4, -1.1, float(k)) for k in kappa] for tt in t[:, 0]]
+        assert np.array_equal(got, want)
 
     def test_midpoint_convexity(self):
         rng = np.random.default_rng(20250810)

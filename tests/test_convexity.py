@@ -1,6 +1,7 @@
 """Convexity criteria, calculus rules and the equality-case families."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,18 @@ class TestPointwise:
         assert above.worst_location == 6.0 and above.note == ""
         assert at.worst_location == 1.0 and at.worst_margin < 0.0
 
+    def test_overflowed_f_n_warns_nothing(self):
+        # exp(-f/N) = exp(1800) at x = +-30, and inf * 0 where be == K at x = 6
+        cosh = ScalarFunction1D(fn=np.cosh, d1=np.sinh, d2=np.cosh)
+        at_k = float(np.cosh(6.0) + np.sinh(6.0) ** 2 / 0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = check_pointwise(compile_expr("x**2"), ConvexityParams(1, -0.5, (-30, 30)),
+                                   np.linspace(-30, 30, 11))
+            at = check_pointwise(cosh, ConvexityParams(at_k, -0.25, (1.0, 6.0)), [1.0, 6.0])
+        assert wide.passed and wide.worst_margin > 0.0
+        assert at.worst_location == 1.0 and at.worst_margin < 0.0
+
 
 class TestDerivativeCriterion:
     def test_log_segment_margin(self):
@@ -235,6 +248,16 @@ def _fold_reference(reports):
 
 class TestSegmentArrays:
     """One call on arrays of segments against one call per segment."""
+
+    @pytest.mark.parametrize("t", [0.3, [0.0, 0.3, 1.0], [[0.25], [0.75]]])
+    def test_margin_broadcasts_t_against_the_ends(self, t):
+        f, _ = example_function("a", 1.0, -2.0)
+        x0, x1 = np.array([-1.0, 0.5, 2.0]), np.array([1.5, 0.0, -0.5])
+        got = geodesic_margin(f, 1.0, -2.0, x0, x1, t)
+        grids = np.broadcast_arrays(x0, x1, np.asarray(t, dtype=float))
+        want = [geodesic_margin(f, 1.0, -2.0, *map(float, point))
+                for point in zip(*(g.ravel() for g in grids))]
+        assert np.array_equal(got, np.reshape(want, grids[0].shape))
 
     @settings(max_examples=150, deadline=None)
     @given(source=st.one_of(st.sampled_from("abcd"), expressions),
