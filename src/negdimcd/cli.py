@@ -23,7 +23,6 @@ import math
 import os
 import sys
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -51,22 +50,22 @@ def _rng(seed: int, label: str) -> np.random.Generator:
         np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(label.encode())]))
 
 
-@dataclass
-class Record:
-    check_id: str
-    params: str
-    worst_margin: float
-    passed: bool
-
-    def row(self) -> list[str]:
-        return [self.check_id, self.params, repr(float(self.worst_margin)),
-                "true" if self.passed else "false"]
+def _record(suite: str, report: CheckReport, **params) -> list[str]:
+    """The records.csv row of a report, in RECORD_HEADER order."""
+    return [f"{suite}/{report.name}", ";".join(f"{k}={v}" for k, v in params.items()),
+            repr(float(report.worst_margin)), "true" if report.passed else "false"]
 
 
-def _record(suite: str, report: CheckReport, **params) -> Record:
-    items = ";".join(f"{k}={v}" for k, v in params.items())
-    return Record(check_id=f"{suite}/{report.name}", params=items,
-                  worst_margin=report.worst_margin, passed=report.passed)
+def _n_passed(rows: Sequence[list[str]]) -> int:
+    return sum(row[3] == "true" for row in rows)
+
+
+def _print_failures(rows: Sequence[list[str]]) -> int:
+    """A FAIL line per failed row; the exit status, 1 if there was one."""
+    failed = [row for row in rows if row[3] != "true"]
+    for check_id, params, margin, _ in failed:
+        print(f"FAIL {check_id} margin={margin} {params}")
+    return 1 if failed else 0
 
 
 def _floats(raw: str) -> list[float]:
@@ -144,8 +143,11 @@ def _negative_n(value: float, key: str) -> float:
 def _function_from(cfg, section: str, K: float, N: float):
     """A scalar function plus evaluation window from a [function] section."""
     kind = _get(cfg, section, "kind")
+    expr = _get(cfg, section, "expr")
     window = _get(cfg, section, "domain", conv=_pair)
-    if kind in ("a", "b", "c", "d"):
+    if (kind is None) == (expr is None):
+        raise ConfigError(f"[{section}] needs kind=a|b|c|d or expr=..., not both")
+    if kind is not None:
         f, dom = convexity.example_function(kind, K, N)
         # without a domain, a default window inside the stated open domain
         lo, hi = window or {
@@ -157,14 +159,24 @@ def _function_from(cfg, section: str, K: float, N: float):
         if not (dom[0] <= lo < hi <= dom[1]):
             raise ConfigError(f"[{section}] domain {lo, hi} outside {dom}")
         return f, (lo, hi)
-    expr = _get(cfg, section, "expr")
-    if expr is None:
-        raise ConfigError(f"[{section}] needs kind=a|b|c|d or expr=...")
     if window is None:
         raise ConfigError(f"[{section}] expr functions need an explicit domain")
     return compile_expr(expr), window
 
 
+def _naming_section(build):
+    """build(cfg, section) with a builder's ValueError prefixed by the section."""
+    def built(cfg, section: str):
+        try:
+            return build(cfg, section)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return built
+
+
+@_naming_section
 def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere:
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
@@ -190,6 +202,7 @@ def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere
                       "gaussian|power|lebesgue|line|sphere")
 
 
+@_naming_section
 def _density_from(cfg, section: str) -> transport.Density1D:
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
@@ -224,7 +237,7 @@ def _admissible_pairs(rng, window, limit, count):
     return starts, starts + lengths
 
 
-def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
+def run_convexity(cfg, seed: int, tol: float | None) -> list[list[str]]:
     K = _get(cfg, "params", "K", required=True, conv=float)
     N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     f, window = _function_from(cfg, "function", K, N)
@@ -244,7 +257,7 @@ def run_convexity(cfg, seed: int, tol: float | None) -> list[Record]:
                     K=K, N=N, pairs=n_pairs)]
 
 
-def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
+def run_flow(cfg, seed: int, tol: float | None) -> list[list[str]]:
     del seed  # flow checks are deterministic
     K = _get(cfg, "params", "K", required=True, conv=float)
     N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
@@ -267,9 +280,8 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
             curve.index_at(t)
         except ValueError as exc:
             raise ConfigError(f"[params] {key}: {exc}") from exc
-    records = []
-    records.append(_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),
-                           x0=x0, step=step))
+    records = [_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),
+                       x0=x0, step=step)]
     for z in zs:
         rep = gradflow.verify_evi(curve, f, K, N, z, tol)
         records.append(_record("flow", rep, K=K, N=N, z=z))
@@ -281,14 +293,14 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[Record]:
     return records
 
 
-def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
+def run_geometry(cfg, seed: int, tol: float | None) -> list[list[str]]:
     del seed
     N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
     space = _space_from(cfg, "space")
     grid_n = _count(cfg, "params", "grid", 400)
     cert = geometry.min_ricci_n(space, N,
                                 convexity.interior_grid(space.interval, grid_n, 1e-3))
-    records = [Record("geometry/min-ricci", f"N={N};grid={grid_n}", cert.K, True)]
+    records = [_record("geometry", cert, N=N, grid=grid_n)]
     var = "theta" if isinstance(space, geometry.RotSphere) else "x"
     u_expr = _get(cfg, "params", "u", "cos(theta)" if var == "theta" else "x")
     u = compile_expr(u_expr, var=var)
@@ -304,7 +316,7 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[Record]:
     return records
 
 
-def run_transport(cfg, seed: int, tol: float | None) -> list[Record]:
+def run_transport(cfg, seed: int, tol: float | None) -> list[list[str]]:
     del seed
     K = _get(cfg, "params", "K", required=True, conv=float)
     N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
@@ -358,33 +370,27 @@ _SUITES = {
 }
 
 
-def _write_records(records: Sequence[Record], out_dir: Path) -> Path:
+def _write_records(rows: Sequence[list[str]], out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "records.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
+        csv.writer(fh, lineterminator="\n").writerows([RECORD_HEADER, *rows])
     return path
 
 
-def _write_summary(records: Sequence[Record], out_dir: Path) -> Path:
+def _write_summary(rows: Sequence[list[str]], out_dir: Path) -> Path:
     path = out_dir / "summary.txt"
-    n_pass = sum(1 for r in records if r.passed)
-    lines = []
-    for rec in records:
-        flag = "PASS" if rec.passed else "FAIL"
-        lines.append(f"{flag}  {rec.check_id}  margin={rec.row()[2]}  {rec.params}")
-    lines.append(f"total: {n_pass}/{len(records)} passed")
+    lines = [f"{'PASS' if passed == 'true' else 'FAIL'}  {check_id}  "
+             f"margin={margin}  {params}" for check_id, params, margin, passed in rows]
+    lines.append(f"total: {_n_passed(rows)}/{len(rows)} passed")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def _write(records: Sequence[Record], out_dir: Path, *writers) -> list[Path]:
+def _write(rows: Sequence[list[str]], out_dir: Path, *writers) -> list[Path]:
     """The file of each writer in out_dir; an OSError is a ConfigError."""
     try:
-        return [write(records, out_dir) for write in writers]
+        return [write(rows, out_dir) for write in writers]
     except OSError as exc:
         raise ConfigError(f"cannot write to the output directory {str(out_dir)!r}: "
                           f"{exc.strerror}") from exc
@@ -398,14 +404,14 @@ def _resolve_out_dir(cli_value: str | None, cfg) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "negdimcd-out"))
 
 
-def _run_suite(cfg, seed: int, tol: float | None) -> list[Record]:
+def _run_suite(cfg, seed: int, tol: float | None) -> list[list[str]]:
     suite = _get(cfg, "run", "suite", required=True)
     if suite not in _SUITES:
         raise ConfigError(f"[run] suite={suite!r} not one of {sorted(_SUITES)}")
     return _SUITES[suite](cfg, seed, tol)
 
 
-def _run_groups(cfg, seed: int, tol: float | None) -> list[Record]:
+def _run_groups(cfg, seed: int, tol: float | None) -> list[list[str]]:
     """Each group of [<group>.<section>] sections, read as a config of its own
     with the prefix stripped, in file order.  The file's [run] holds seed, tol
     and out_dir for every group and stands alone outside the groups, so no
@@ -441,13 +447,9 @@ def cmd_run(args) -> int:
                else _run_suite(cfg, seed, tol))
     out_dir = _resolve_out_dir(args.out_dir, cfg)
     rec_path, sum_path = _write(records, out_dir, _write_records, _write_summary)
-    n_fail = sum(1 for r in records if not r.passed)
-    print(f"{len(records)} checks, {len(records) - n_fail} passed; "
+    print(f"{len(records)} checks, {_n_passed(records)} passed; "
           f"records: {rec_path}; summary: {sum_path}")
-    for rec in records:
-        if not rec.passed:
-            print(f"FAIL {rec.check_id} margin={rec.worst_margin!r} {rec.params}")
-    return 0 if n_fail == 0 else 1
+    return _print_failures(records)
 
 
 def cmd_certify(args) -> int:
@@ -474,7 +476,7 @@ def cmd_certify(args) -> int:
             print(f"N={N}: largest passing K = {K!r}")
     rec_path, = _write(records, out_dir, _write_records)
     print(f"records: {rec_path}")
-    return 0 if all(r.passed for r in records) else 1
+    return 0 if _n_passed(records) == len(records) else 1
 
 
 def cmd_merge(args) -> int:
@@ -496,20 +498,14 @@ def cmd_merge(args) -> int:
                     rows.append(row)
         except OSError as exc:
             raise ConfigError(f"cannot read record file {path!r}: {exc.strerror}") from exc
-    failures = [r for r in rows if r[3] != "true"]
-    passes = [r for r in rows if r[3] == "true"]
     suites = {}
-    for r in rows:
-        suite = r[0].split("/", 1)[0]
-        ok, total = suites.get(suite, (0, 0))
-        suites[suite] = (ok + (r[3] == "true"), total + 1)
-    for r in failures:
-        print(f"FAIL {r[0]} margin={r[2]} {r[1]}")
+    for row in rows:
+        suites.setdefault(row[0].split("/", 1)[0], []).append(row)
+    status = _print_failures(rows)
     for suite in sorted(suites):
-        ok, total = suites[suite]
-        print(f"{suite}: {ok}/{total} passed")
-    print(f"total: {len(passes)}/{len(rows)} passed")
-    return 0 if not failures else 1
+        print(f"{suite}: {_n_passed(suites[suite])}/{len(suites[suite])} passed")
+    print(f"total: {_n_passed(rows)}/{len(rows)} passed")
+    return status
 
 
 def main(argv: Sequence[str] | None = None) -> int:

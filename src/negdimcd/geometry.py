@@ -88,7 +88,7 @@ def gaussian_line(curv: float = 1.0, radius: float = 8.0) -> WeightedLine:
     standard deviations; the lost tail mass is below 1e-14 at the default.
     """
     if not curv > 0:
-        raise ValueError("curv must be positive")
+        raise ValueError(f"curv must be positive, got {curv!r}")
     sd = 1.0 / math.sqrt(curv)
     c0 = 0.5 * math.log(2.0 * math.pi / curv)
     psi = ScalarFunction1D(
@@ -102,7 +102,7 @@ def gaussian_line(curv: float = 1.0, radius: float = 8.0) -> WeightedLine:
 def power_weight_line(exponent: float, lo: float, hi: float) -> WeightedLine:
     """Half-line fragment with weight x**exponent, i.e. psi = -exponent*log(x)."""
     if not 0 < lo < hi:
-        raise ValueError("need 0 < lo < hi for a power weight")
+        raise ValueError(f"need 0 < lo < hi for a power weight, got lo={lo!r}, hi={hi!r}")
     a = float(exponent)
     psi = ScalarFunction1D(
         fn=lambda x: -a * np.log(as_float(x)),
@@ -155,22 +155,22 @@ def ricci_n(space: WeightedSpace, point, N: float, direction=0.0):
     return _scalar(1.0 + ca2 * radial + (1.0 - ca2) * tangential)
 
 
-@dataclass(frozen=True)
-class CurvatureCertificate:
-    """Verified infimum of the weighted Ricci curvature over a sampled bundle."""
+@dataclass(kw_only=True)
+class CurvatureCertificate(CheckReport):
+    """Grid infimum K of the weighted Ricci curvature over a sampled bundle:
+    a measurement (status "info") whose margin is K, attained at
+    ``worst_location`` = (point, direction)."""
 
     K: float
-    N: float
-    inf_location: Tuple[float, ...]
 
 
 def min_ricci_n(space: WeightedSpace, N: float,
                 grid: Sequence[float]) -> CurvatureCertificate:
-    """Grid infimum of ricci_n; records the argmin (point, direction).
+    """Grid infimum of ricci_n over every grid point and direction.
 
     On the sphere the form is linear in cos^2(direction), so the directions
     0 and pi/2 are the extremes.  NaN values are skipped; with no other
-    value K is +inf at no location.
+    value K is +inf at location None.
     """
     x = np.asarray(grid, dtype=float)
     if x.size == 0:
@@ -179,10 +179,11 @@ def min_ricci_n(space: WeightedSpace, N: float,
     vals = ricci_n(space, x[:, None], N, dirs[None, :])
     vals = np.where(np.isnan(vals), math.inf, vals)
     i, j = np.unravel_index(np.argmin(vals), vals.shape)
-    if vals[i, j] == math.inf:
-        return CurvatureCertificate(K=math.inf, N=N, inf_location=())
-    return CurvatureCertificate(K=float(vals[i, j]), N=N,
-                                inf_location=(float(x[i]), float(dirs[j])))
+    K = float(vals[i, j])
+    return CurvatureCertificate(
+        name="min-ricci", status="info", passed=True, worst_margin=K,
+        worst_location=None if K == math.inf else (float(x[i]), float(dirs[j])),
+        n_evaluations=vals.size, tolerance=0.0, K=K)
 
 
 def laplacian_m(space: WeightedSpace, u: ScalarFunction1D, point):

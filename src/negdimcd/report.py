@@ -20,8 +20,10 @@ class CheckReport:
     checker that gives each margin a scale, iff every margin is at least
     -tolerance times its scale.  ``status``
     is one of "checked", "trivial" (every margin was +inf by an extended-real
-    convention), "vacuous" (hypotheses make the claim empty), or
-    "inconclusive" (discretization did not converge; counts as a failure).
+    convention), "vacuous" (hypotheses make the claim empty),
+    "inconclusive" (discretization did not converge; counts as a failure), or
+    "info" (a measurement: it always passes, and its margin is the measured
+    value).
     """
 
     name: str

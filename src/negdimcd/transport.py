@@ -176,7 +176,7 @@ def gaussian_density(mean: float, sd: float, quad_nodes: int = 8192) -> Density1
 
 def uniform_density(a: float, b: float, quad_nodes: int = 2048) -> Density1D:
     if not a < b:
-        raise ValueError("need a < b")
+        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     h = 1.0 / (b - a)
 
     def pdf(x):

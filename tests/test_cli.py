@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from negdimcd import gradflow, transport
-from negdimcd.cli import Record, main
+from negdimcd.cli import _record, main
 from negdimcd.quadrature import QuadratureError
+from negdimcd.report import CheckReport
 
 
 def write_cfg(path, text):
@@ -447,7 +448,7 @@ checks = cd
 """)
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            f"error: line interval {interval!r} is not a finite interval lo < hi\n")
+            f"error: [space] line interval {interval!r} is not a finite interval lo < hi\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -590,7 +591,7 @@ class TestSectionGroups:
 
 class TestRecordValues:
     def test_row_keeps_signs_of_infinities(self):
-        rows = [Record("s/x", "", v, False).row()[2]
+        rows = [_record("s", CheckReport("x", False, v, None, 1, 0.0))[2]
                 for v in (-np.inf, np.inf, np.nan, -0.5, 0.0)]
         assert rows == ["-inf", "inf", "nan", "-0.5", "0.0"]
         assert [float(r) for r in rows[:2]] == [-np.inf, np.inf]
@@ -693,8 +694,18 @@ checks = entropic
         ("transport-model-weight", ("A0 = 1 2", "A0 = 2 1"),
          "A0 (2.0, 1.0) is empty: need lo < hi"),
         ("transport-gaussian", ("mean = 1.0\nsd = 1.0", "mean = 1.0\nsd = 0"),
-         "sd must be positive, got 0.0"),
-    ], ids=["empty-A0", "zero-sd"])
+         "[mu0] sd must be positive, got 0.0"),
+        ("transport-gaussian", ("mean = 0.0\nsd = 1.0", "mean = 0.0\nsd = -1"),
+         "[mu1] sd must be positive, got -1.0"),
+        ("transport-gaussian", ("kind = gaussian\nmean = 1.0\nsd = 1.0",
+                                "kind = uniform\ninterval = 2 1"),
+         "[mu0] need a < b, got a=2.0, b=1.0"),
+        ("transport-model-weight", ("interval = 0.5 8", "interval = -1 2"),
+         "[space] need 0 < lo < hi for a power weight, got lo=-1.0, hi=2.0"),
+        ("transport-gaussian", ("[space]\nkind = gaussian",
+                                "[space]\nkind = gaussian\ncurv = -1"),
+         "[space] curv must be positive, got -1.0"),
+    ], ids=["empty-A0", "zero-sd", "mu1-sd", "uniform", "power", "curv"])
     def test_bad_measure_names_its_value(self, tmp_path, capsys, name, edit, message):
         text = shipped(name)
         assert edit[0] in text
@@ -979,6 +990,14 @@ class TestMerge:
             "FAIL s1/y margin=-inf K=2", "FAIL s1/z margin=nan K=3",
             "s1: 1/3 passed", "total: 1/3 passed"]
 
+    def test_merge_prints_the_fail_lines_run_printed(self, tmp_path, capsys):
+        cfg = str(ROOT / "configs" / "convexity-log-family.cfg")
+        assert main(["run", cfg, "--tol", "-1", "--out-dir", str(tmp_path)]) == 1
+        ran = capsys.readouterr().out.splitlines()[1:]
+        assert len(ran) == 3 and all(line.startswith("FAIL ") for line in ran)
+        assert main(["merge", str(tmp_path / "records.csv")]) == 1
+        assert capsys.readouterr().out.splitlines()[:-2] == ran
+
     @pytest.mark.parametrize("flag", ["--tol", "--seed", "--out-dir"])
     def test_merge_takes_no_run_flags(self, tmp_path, capsys, flag):
         a = self._mk(tmp_path / "a.csv", [["s1/x", "", "0.1", "true"]])
@@ -986,6 +1005,24 @@ class TestMerge:
             main(["merge", flag, "1", a])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+class TestFunctionSection:
+    @pytest.mark.parametrize("kind", ["c", "e"])
+    def test_kind_beside_expr_is_an_error_line(self, tmp_path, capsys, kind):
+        # whichever key the run took, the other would be ignored without a word
+        cfg = write_cfg(tmp_path / "f.cfg", CONVEXITY_CFG.replace(
+            "kind = c", f"kind = {kind}\nexpr = x**4\ndomain = 0.5 2"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [function] needs kind=a|b|c|d or expr=..., not both\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_kind_is_an_error_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "f.cfg", CONVEXITY_CFG.replace("kind = c", "kind = e"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown kind 'e'; expected one of a, b, c, d\n")
 
 
 class TestExpressionGrammar:
@@ -1044,7 +1081,7 @@ checks = cd jacobian
 """)
         with np.errstate(divide="ignore", invalid="ignore"):
             assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err == "error: pdf inf is not finite at x=0.0\n"
+        assert capsys.readouterr().err == "error: [mu0] pdf inf is not finite at x=0.0\n"
 
     def test_endpoint_singularity_is_an_error_line(self, tmp_path):
         cfg = write_cfg(tmp_path / "s.cfg", """
@@ -1069,7 +1106,7 @@ checks = entropic
 """)
         proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 2
-        assert proc.stderr == "error: pdf inf is not finite at x=0.0\n"
+        assert proc.stderr == "error: [mu0] pdf inf is not finite at x=0.0\n"
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         import os

@@ -113,7 +113,23 @@ class TestMinRicci:
     def test_gaussian_line_minimum_at_origin(self):
         cert = min_ricci_n(gaussian_line(1.0), -2.0, np.linspace(-3.0, 3.0, 301))
         assert cert.K == pytest.approx(1.0, abs=1e-12)
-        assert cert.inf_location[0] == pytest.approx(0.0, abs=1e-12)
+        assert cert.worst_location[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_certificate_is_an_info_report(self):
+        # a measurement: it passes, and its margin is K at (point, direction)
+        cert = min_ricci_n(sphere(), -2.0, np.linspace(0.1, math.pi - 0.1, 40))
+        assert (cert.name, cert.status, cert.passed) == ("min-ricci", "info", True)
+        assert cert.worst_margin == cert.K
+        assert cert.n_evaluations == 40 * 2
+        assert len(cert.worst_location) == 2
+        assert cert.tolerance == 0.0
+
+    def test_all_nan_grid_gives_infinite_k_at_no_location(self):
+        line = WeightedLine((-3.0, 3.0), compile_expr("sqrt(x)"))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cert = min_ricci_n(line, -2.0, [-2.0, -1.0])
+        assert (cert.K, cert.worst_margin, cert.worst_location) == (math.inf, math.inf, None)
+        assert (cert.status, cert.passed, cert.n_evaluations) == ("info", True, 2)
 
     def test_model_weight_certificate_is_zero(self):
         line = power_weight_line(-3.0, 0.5, 4.0)

@@ -328,7 +328,7 @@ class TestArraysMatchLoops:
         best, where = min_ricci_loop(space, N, grid, dirs)
         assert_close([cert.K], [best])
         if space.psi.name == "gaussian":
-            assert cert.inf_location == where
+            assert cert.worst_location == where
         # an intermediate direction, between the two extremes min_ricci_n takes
         values = ricci_n(space, grid, N, 0.4)
         assert_close(values, [ricci_loop(space, float(x), N, 0.4) for x in grid])
