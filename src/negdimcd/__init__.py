@@ -15,8 +15,6 @@ from .convexity import (
     example_function,
     geodesic_margin,
     interior_grid,
-    mono_rule,
-    scale_shift,
     sum_rule,
 )
 from .functions import ScalarFunction1D, exp_transform

@@ -140,6 +140,19 @@ def _negative_n(value: float, key: str) -> float:
 # builders from config sections
 
 
+def _naming_section(build):
+    """build(cfg, section, ...) with a builder's ValueError prefixed by the section."""
+    def built(cfg, section: str, *args):
+        try:
+            return build(cfg, section, *args)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    return built
+
+
+@_naming_section
 def _function_from(cfg, section: str, K: float, N: float):
     """A scalar function plus evaluation window from a [function] section."""
     kind = _get(cfg, section, "kind")
@@ -161,19 +174,9 @@ def _function_from(cfg, section: str, K: float, N: float):
         return f, (lo, hi)
     if window is None:
         raise ConfigError(f"[{section}] expr functions need an explicit domain")
+    if not -math.inf < window[0] < window[1] < math.inf:
+        raise ValueError(f"domain {window} is not a finite interval lo < hi")
     return compile_expr(expr), window
-
-
-def _naming_section(build):
-    """build(cfg, section) with a builder's ValueError prefixed by the section."""
-    def built(cfg, section: str):
-        try:
-            return build(cfg, section)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {exc}") from exc
-    return built
 
 
 @_naming_section
@@ -203,22 +206,30 @@ def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere
 
 
 @_naming_section
-def _density_from(cfg, section: str) -> transport.Density1D:
+def _density_from(cfg, section: str, space: geometry.WeightedLine) -> transport.Density1D:
+    """A measure from a [mu0]/[mu1] section, at most 1e-8 of its mass off the space."""
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
         mean = _get(cfg, section, "mean", 0.0, conv=float)
         sd = _get(cfg, section, "sd", 1.0, conv=float)
-        return transport.gaussian_density(mean, sd)
-    if kind == "uniform":
+        mu = transport.gaussian_density(mean, sd)
+    elif kind == "uniform":
         lo, hi = _get(cfg, section, "interval", required=True, conv=_pair)
-        return transport.uniform_density(lo, hi)
-    if kind == "expr":
+        mu = transport.uniform_density(lo, hi)
+    elif kind == "expr":
         expr = _get(cfg, section, "expr", required=True)
         lo, hi = _get(cfg, section, "support", required=True, conv=_pair)
         fun = compile_expr(expr)
-        return transport.Density1D(support=(lo, hi), pdf=fun, d_pdf=fun.deriv,
-                                   normalize=True, name=expr)
-    raise ConfigError(f"[{section}] kind={kind!r} not one of gaussian|uniform|expr")
+        mu = transport.Density1D(support=(lo, hi), pdf=fun, d_pdf=fun.deriv,
+                                 normalize=True, name=expr)
+    else:
+        raise ConfigError(f"[{section}] kind={kind!r} not one of gaussian|uniform|expr")
+    below, upto = mu.cdf(space.interval)
+    outside = below + (1.0 - upto)
+    if outside > 1e-8:
+        raise ValueError(f"mass {outside:.3g} lies outside the [space] interval "
+                         f"{space.interval}")
+    return mu
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +291,10 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[list[str]]:
             curve.index_at(t)
         except ValueError as exc:
             raise ConfigError(f"[params] {key}: {exc}") from exc
+    if not step * 10 < mid:
+        raise ConfigError(f"[params] step: the energy identity runs from 10*step = "
+                          f"{step * 10!r} to horizon/2 = {mid!r}; it needs "
+                          "10*step < horizon/2")
     records = [_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),
                        x0=x0, step=step)]
     for z in zs:
@@ -331,9 +346,9 @@ def run_transport(cfg, seed: int, tol: float | None) -> list[list[str]]:
     t_grid = _unit_times(cfg, "t_grid", [0.25, 0.5, 0.75], _floats)
     wanted = set(checks)
     pair = {"cd", "cdstar", "jacobian", "entropic", "hwi"}
-    mu0 = (_density_from(cfg, "mu0")
+    mu0 = (_density_from(cfg, "mu0", space)
            if wanted & (pair | {"talagrand", "logsobolev"}) else None)
-    mu1 = _density_from(cfg, "mu1") if wanted & pair else None
+    mu1 = _density_from(cfg, "mu1", space) if wanted & pair else None
     t_bm = _unit_times(cfg, "t", 0.5, float) if "bm" in wanted else None
 
     def bm():

@@ -3,8 +3,8 @@
 The central object is f_N(x) = exp(-f(x)/N).  Three equivalent criteria are
 implemented: a pointwise Hessian bound, a distortion-coefficient inequality
 along straight segments, and a first-derivative inequality at a segment
-endpoint.  The calculus rules (scaling, shifts, sums, parameter monotonicity)
-and the four equality-case example families live here as well.
+endpoint.  The sum rule and the four equality-case example families live here
+as well.
 
 Geodesics are realized on Euclidean intervals only, where minimal geodesics
 are unique straight segments; strong and plain convexity therefore coincide.
@@ -29,9 +29,7 @@ __all__ = [
     "check_geodesic",
     "check_derivative",
     "geodesic_margin",
-    "scale_shift",
     "sum_rule",
-    "mono_rule",
     "example_function",
     "interior_grid",
     "TOL_ANALYTIC",
@@ -164,15 +162,6 @@ def check_derivative(f: ScalarFunction1D, p: ConvexityParams, x0, x1,
                                     scale=scale)
 
 
-def scale_shift(K: float, N: float, scale: float, shift: float) -> Tuple[float, float]:
-    """Parameters for scale*f + shift: scaling maps (K, N) -> (scale*K, scale*N),
-    adding a constant leaves them unchanged."""
-    if not scale > 0:
-        raise ValueError("scale must be positive")
-    del shift  # a constant offset multiplies f_N by a constant only
-    return (scale * K, scale * N)
-
-
 def sum_rule(K1: float, N1: float, K2: float, N2: float) -> Tuple[float, float]:
     """Parameters for f1 + f2 when f1 is (K1, N1)-convex (N1 < 0) and f2 is
     strongly (K2, N2)-convex with N2 > 0 and N1 < -N2."""
@@ -184,13 +173,6 @@ def sum_rule(K1: float, N1: float, K2: float, N2: float) -> Tuple[float, float]:
             "f2(x) = -2*log(x) satisfies the (0, 2) inequality on (0, inf) "
             "while 0 + f2 violates the (0, 1) one")
     return (K1 + K2, N1 + N2)
-
-
-def mono_rule(K: float, N: float, K_new: float, N_new: float) -> bool:
-    """Whether (K, N)-convexity with N < 0 implies (K_new, N_new)-convexity:
-    true iff K_new <= K and N_new in [N, 0)."""
-    negative_n(N)
-    return K_new <= K and N <= N_new < 0
 
 
 def example_function(kind: str, K: float, N: float) -> Tuple[ScalarFunction1D, Tuple[float, float]]:

@@ -241,27 +241,25 @@ class GeodesicPath:
         psi = space.psi
         return np.exp(psi(x) - psi(self.position(t, x))) * self.jacobian_lebesgue(t, x)
 
-    def density(self, t: float) -> Density1D:
-        """Pushforward density at time t, rebuilt as a standalone Density1D."""
-        if not 0.0 <= t <= 1.0:
-            raise ValueError("t must lie in [0, 1]")
-        xs = self.mu0._xs
-        ys = self.position(t, xs)
-        jac = self.jacobian_lebesgue(t, xs)
-        if np.any(jac <= 0):
-            raise ValueError("monotonicity violated: nonpositive interpolation Jacobian")
-        vals = self.mu0.pdf(xs) / jac
-
-        def pdf(y):
-            return np.interp(y, ys, vals, left=0.0, right=0.0)
-
-        return Density1D(support=(float(ys[0]), float(ys[-1])), pdf=pdf,
-                         normalize=True, name=f"interp(t={t})")
-
 
 def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
-    """Density of the Wasserstein geodesic at time t (Lebesgue density)."""
-    return GeodesicPath(mu0, mu1).density(t)
+    """Density of the Wasserstein geodesic at time t (Lebesgue density),
+    rebuilt as a standalone Density1D."""
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    path = GeodesicPath(mu0, mu1)
+    xs = mu0._xs
+    ys = path.position(t, xs)
+    jac = path.jacobian_lebesgue(t, xs)
+    if np.any(jac <= 0):
+        raise ValueError("monotonicity violated: nonpositive interpolation Jacobian")
+    vals = mu0.pdf(xs) / jac
+
+    def pdf(y):
+        return np.interp(y, ys, vals, left=0.0, right=0.0)
+
+    return Density1D(support=(float(ys[0]), float(ys[-1])), pdf=pdf,
+                     normalize=True, name=f"interp(t={t})")
 
 
 def _weighted_density_values(mu: Density1D, space: WeightedLine, x) -> np.ndarray:

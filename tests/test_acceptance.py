@@ -183,7 +183,7 @@ def test_08_transport_oracles():
     xs, _ = g0.interior_nodes(512, 4)
     ma = 0.0
     for t in (0.25, 0.5, 0.75):
-        dens = path.density(t)
+        dens = nd.interpolate(g0, g1, t)
         resid = np.abs(np.asarray(g0.pdf(xs))
                        - np.asarray(dens.pdf(path.position(t, xs)))
                        * path.jacobian_lebesgue(t, xs))

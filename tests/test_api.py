@@ -22,13 +22,12 @@ MU0, MU1 = nd.gaussian_density(0.0, 1.0, quad_nodes=64), nd.gaussian_density(0.5
 # Every public function that takes N, with arguments that are valid at N = -2.
 # Left out: geodesic_margin, exp_transform and bakry_emery, which are formulas
 # for any N != 0 (the sum-rule counterexamples use N > 0, and bakry_emery at
-# N = -inf is its limit f''); and the calculus of parameters (scale_shift,
-# sum_rule, weighted_sum_certificate, product_certificate,
-# product_direction_check), which has its own rules for each dimension.
+# N = -inf is its limit f''); and the calculus of parameters (sum_rule,
+# weighted_sum_certificate, product_certificate, product_direction_check),
+# which has its own rules for each dimension.
 CHECKERS = {
     "tau": lambda N: nd.tau(1.0, N, 0.5, 1.0),
     "ConvexityParams": lambda N: nd.ConvexityParams(1.0, N, (-1.0, 1.0)),
-    "mono_rule": lambda N: nd.mono_rule(1.0, N, 0.0, -1.0),
     "example_function": lambda N: nd.example_function("a", 1.0, N),
     "ricci_n": lambda N: nd.ricci_n(LINE, 0.5, N),
     "min_ricci_n": lambda N: nd.min_ricci_n(LINE, N, [0.0, 1.0]),
@@ -70,8 +69,7 @@ class TestRangeOfN:
 
 # the entries of CHECKERS that compute a quantity rather than check an inequality;
 # min_ricci_n measures one too, and reports it as a CheckReport with status "info"
-NON_CHECKERS = {"tau", "ConvexityParams", "mono_rule", "example_function", "ricci_n",
-                "renyi_entropy"}
+NON_CHECKERS = {"tau", "ConvexityParams", "example_function", "ricci_n", "renyi_entropy"}
 
 
 @pytest.mark.parametrize("name", sorted(set(CHECKERS) - NON_CHECKERS))

@@ -346,9 +346,22 @@ class TestConfigNumbers:
          "[certify] N: expected space-separated numbers, got ''"),
         (LOG_FLOW_CFG, ("x0 = 1", "x0 = 1\nz ="),
          "[params] z: expected space-separated numbers, got ''"),
+        # these ended with error lines naming no section, and the windows
+        # with the messages of the check, the segment draw or interior_grid
+        (CONVEXITY_CFG, ("kind = c\n\n[params]\nK = 0", "kind = a\n\n[params]\nK = -1"),
+         "[function] kind 'a' requires K > 0"),
+        (CONVEXITY_CFG, ("kind = c", "expr = x**2\ndomain = 2 1"),
+         "[function] domain (2.0, 1.0) is not a finite interval lo < hi"),
+        (CONVEXITY_CFG, ("kind = c", "expr = x**2\ndomain = 0 inf"),
+         "[function] domain (0.0, inf) is not a finite interval lo < hi"),
+        (CERTIFY_CFG, ("domain = -3 3", "domain = nan 1"),
+         "[function] domain (nan, 1.0) is not a finite interval lo < hi"),
+        (LOG_FLOW_CFG, ("expr = log(x)\ndomain = 0.5 3", "kind = b"),
+         "[potential] kind 'b' requires K > 0"),
     ], ids=["K", "step", "seed", "t_grid", "certify-N", "domain", "grid0", "certify-grid0",
             "empty-t_grid", "transport-empty-t_grid", "empty-checks", "certify-empty-N",
-            "empty-z"])
+            "empty-z", "kind-a-K", "reversed-expr-domain", "infinite-expr-domain",
+            "certify-nan-domain", "flow-kind-b-K"])
     def test_bad_number_names_its_key(self, tmp_path, capsys, text, edit, message):
         assert edit[0] in text
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
@@ -750,9 +763,41 @@ class TestTimeKeys:
          "[params] t_grid: expected times in [0, 1], got '0.5 2'"),
         ("transport-model-weight", ("t = 0.5", "t = 1.5"),
          "[params] t: expected times in [0, 1], got '1.5'"),
+        # the energy identity runs from 10*step to horizon/2: these ended with
+        # "time 5.0 is outside the curve's span [0, 2.0]" and "need 0 < t_from
+        # < t_to inside the curve horizon"
+        ("flow-quadratic", ("step = 1e-3\nhorizon = 2.0\nz = -1 0 2\nt0 = 0.1",
+                            "step = 0.5\nhorizon = 2.0\nz = -1 0 2\nt0 = 0.5"),
+         "[params] step: the energy identity runs from 10*step = 5.0 to horizon/2 = 1.0; "
+         "it needs 10*step < horizon/2"),
+        ("flow-quadratic", ("step = 1e-3", "step = 0.1"),
+         "[params] step: the energy identity runs from 10*step = 1.0 to horizon/2 = 1.0; "
+         "it needs 10*step < horizon/2"),
     ], ids=["off-grid-t0", "t1-beyond-horizon", "t0-after-t1", "off-grid-horizon",
-            "convexity-t_grid", "transport-t_grid", "bm-t"])
+            "convexity-t_grid", "transport-t_grid", "bm-t", "edi-start-beyond-end",
+            "edi-start-at-end"])
     def test_bad_time_names_its_key(self, tmp_path, capsys, name, edit, message):
+        text = shipped(name)
+        assert edit[0] in text
+        cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestTransportMeasures:
+    @pytest.mark.parametrize("name, edit, message", [
+        # 44 % of the uniform's mass lay off the space, and cd-cd, cd-cdstar
+        # and jacobian-convexity passed
+        ("transport-model-weight", ("interval = 1 2", "interval = 0.1 1"),
+         "[mu0] mass 0.444 lies outside the [space] interval (0.5, 8.0)"),
+        # the whole normal lay off the Gaussian line, and the run ended in a
+        # traceback
+        ("transport-gaussian", ("mean = 1.0", "mean = 200"),
+         "[mu0] mass 1 lies outside the [space] interval (-8.0, 8.0)"),
+    ], ids=["uniform-below-the-interval", "normal-off-the-line"])
+    def test_measure_off_the_space_is_an_error_line(self, tmp_path, capsys, name, edit,
+                                                    message):
         text = shipped(name)
         assert edit[0] in text
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
@@ -1022,7 +1067,7 @@ class TestFunctionSection:
         cfg = write_cfg(tmp_path / "f.cfg", CONVEXITY_CFG.replace("kind = c", "kind = e"))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "error: unknown kind 'e'; expected one of a, b, c, d\n")
+            "error: [function] unknown kind 'e'; expected one of a, b, c, d\n")
 
 
 class TestExpressionGrammar:

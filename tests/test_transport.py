@@ -221,7 +221,7 @@ class TestInterpolation:
         path = GeodesicPath(mu0, mu1)
         xs, _ = mu0.interior_nodes(512, 4)
         for t in (0.25, 0.5, 0.75):
-            dens = path.density(t)
+            dens = interpolate(mu0, mu1, t)
             Ttx = path.position(t, xs)
             J = path.jacobian_lebesgue(t, xs)
             resid = np.abs(np.asarray(mu0.pdf(xs)) - np.asarray(dens.pdf(Ttx)) * J)
@@ -233,7 +233,7 @@ class TestInterpolation:
         path = GeodesicPath(mu0, mu1)
         xs, _ = mu0.interior_nodes(256, 4)
         for t in (0.3, 0.6):
-            dens = path.density(t)
+            dens = interpolate(mu0, mu1, t)
             Ttx = path.position(t, xs)
             jw = (np.exp(np.asarray(space.psi(xs)) - np.asarray(space.psi(Ttx)))
                   * path.jacobian_lebesgue(t, xs))
@@ -245,8 +245,7 @@ class TestInterpolation:
         mu0 = gaussian_density(0.0, 1.0)
         mu1 = gaussian_density(0.5, 1.3)
         W = w2(mu0, mu1)
-        path = GeodesicPath(mu0, mu1)
-        dens = {t: path.density(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)}
+        dens = {t: interpolate(mu0, mu1, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)}
         for s_ in dens:
             for t_ in dens:
                 if s_ < t_:
