@@ -39,6 +39,7 @@ __all__ = ["main"]
 
 RECORD_HEADER = ["check_id", "params", "worst_margin", "pass"]
 ENV_OUT_DIR = "NEGDIMCD_OUT_DIR"
+_FAILURES = (ValueError, ArithmeticError, QuadratureError, MemoryError)
 
 
 class ConfigError(ValueError):
@@ -136,6 +137,16 @@ def _negative_n(value: float, key: str) -> float:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
+def _params_n(cfg) -> float:
+    return _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
+
+
+def _tol(cli_value: float | None, cfg, section: str) -> dict:
+    """--tol, else [section] tol, as each check's tol keyword; none keeps its default."""
+    tol = cli_value if cli_value is not None else _get(cfg, section, "tol", conv=float)
+    return {"tol": tol} if tol is not None else {}
+
+
 # ---------------------------------------------------------------------------
 # builders from config sections
 
@@ -163,20 +174,21 @@ def _function_from(cfg, section: str, K: float, N: float):
     if kind is not None:
         f, dom = convexity.example_function(kind, K, N)
         # without a domain, a default window inside the stated open domain
-        lo, hi = window or {
+        window = window or {
             "a": (-2.0, 2.0),
             "b": (0.25, 3.0),
             "c": (0.25, 4.0),
             "d": (dom[0] * 0.9, dom[1] * 0.9),
         }[kind]
-        if not (dom[0] <= lo < hi <= dom[1]):
-            raise ConfigError(f"[{section}] domain {lo, hi} outside {dom}")
-        return f, (lo, hi)
-    if window is None:
+        if not (dom[0] <= window[0] < window[1] <= dom[1]):
+            raise ConfigError(f"[{section}] domain {window} outside {dom}")
+    elif window is None:
         raise ConfigError(f"[{section}] expr functions need an explicit domain")
+    else:
+        f = compile_expr(expr)
     if not -math.inf < window[0] < window[1] < math.inf:
         raise ValueError(f"domain {window} is not a finite interval lo < hi")
-    return compile_expr(expr), window
+    return f, window
 
 
 @_naming_section
@@ -207,7 +219,7 @@ def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere
 
 @_naming_section
 def _density_from(cfg, section: str, space: geometry.WeightedLine) -> transport.Density1D:
-    """A measure from a [mu0]/[mu1] section, at most 1e-8 of its mass off the space."""
+    """A measure from a [mu0]/[mu1] section, at most MASS_TOL of it off the space."""
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
         mean = _get(cfg, section, "mean", 0.0, conv=float)
@@ -226,7 +238,7 @@ def _density_from(cfg, section: str, space: geometry.WeightedLine) -> transport.
         raise ConfigError(f"[{section}] kind={kind!r} not one of gaussian|uniform|expr")
     below, upto = mu.cdf(space.interval)
     outside = below + (1.0 - upto)
-    if outside > 1e-8:
+    if outside > transport.MASS_TOL:
         raise ValueError(f"mass {outside:.3g} lies outside the [space] interval "
                          f"{space.interval}")
     return mu
@@ -248,30 +260,29 @@ def _admissible_pairs(rng, window, limit, count):
     return starts, starts + lengths
 
 
-def run_convexity(cfg, seed: int, tol: float | None) -> list[list[str]]:
+def run_convexity(cfg, seed: int, tol: dict) -> list[list[str]]:
     K = _get(cfg, "params", "K", required=True, conv=float)
-    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
+    N = _params_n(cfg)
     f, window = _function_from(cfg, "function", K, N)
     p = convexity.ConvexityParams(K, N, window)
     n_pairs = _count(cfg, "params", "pairs", 40)
     grid_n = _count(cfg, "params", "grid", 200)
     t_grid = _unit_times(cfg, "t_grid", [0.25, 0.5, 0.75], _floats)
-    tol = convexity.TOL_ANALYTIC if tol is None else tol
     rng = _rng(seed, "convexity-pairs")
     x0, x1 = _admissible_pairs(rng, window, p.radius_limit(), n_pairs)
     grid = convexity.interior_grid(window, grid_n)
-    return [_record("convexity", convexity.check_pointwise(f, p, grid, tol),
+    return [_record("convexity", convexity.check_pointwise(f, p, grid, **tol),
                     K=K, N=N, grid=grid_n),
-            _record("convexity", convexity.check_geodesic(f, p, x0, x1, t_grid, tol),
+            _record("convexity", convexity.check_geodesic(f, p, x0, x1, t_grid, **tol),
                     K=K, N=N, pairs=n_pairs),
-            _record("convexity", convexity.check_derivative(f, p, x0, x1, tol),
+            _record("convexity", convexity.check_derivative(f, p, x0, x1, **tol),
                     K=K, N=N, pairs=n_pairs)]
 
 
-def run_flow(cfg, seed: int, tol: float | None) -> list[list[str]]:
+def run_flow(cfg, seed: int, tol: dict) -> list[list[str]]:
     del seed  # flow checks are deterministic
     K = _get(cfg, "params", "K", required=True, conv=float)
-    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
+    N = _params_n(cfg)
     f, domain = _function_from(cfg, "potential", K, N)
     x0 = _get(cfg, "params", "x0", 1.0, conv=float)
     if not domain[0] <= x0 <= domain[1]:
@@ -281,7 +292,6 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[list[str]]:
     zs = _get(cfg, "params", "z", [0.0], conv=_floats)
     t0 = _get(cfg, "params", "t0", 0.1, conv=float)
     t1 = _get(cfg, "params", "t1", 0.5, conv=float)
-    tol = 1e-6 if tol is None else tol
     curve = gradflow.integrate_flow(f, x0, horizon, step, domain)
     if curve.note:
         raise ConfigError(curve.note)
@@ -295,22 +305,21 @@ def run_flow(cfg, seed: int, tol: float | None) -> list[list[str]]:
         raise ConfigError(f"[params] step: the energy identity runs from 10*step = "
                           f"{step * 10!r} to horizon/2 = {mid!r}; it needs "
                           "10*step < horizon/2")
-    records = [_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, tol),
+    records = [_record("flow", gradflow.verify_edi(curve, f, step * 10, mid, **tol),
                        x0=x0, step=step)]
     for z in zs:
-        rep = gradflow.verify_evi(curve, f, K, N, z, tol)
+        rep = gradflow.verify_evi(curve, f, K, N, z, **tol)
         records.append(_record("flow", rep, K=K, N=N, z=z))
-        rep = gradflow.verify_evi_integrated(curve, f, K, N, z, t0, t1, tol)
+        rep = gradflow.verify_evi_integrated(curve, f, K, N, z, t0, t1, **tol)
         records.append(_record("flow", rep, K=K, N=N, z=z, t0=t0, t1=t1))
-        rep = gradflow.regularizing_bounds(curve, f, K, N, "regularity", z=z, t=mid,
-                                           tol=tol)
+        rep = gradflow.regularizing_bounds(curve, f, K, N, "regularity", z=z, t=mid, **tol)
         records.append(_record("flow", rep, K=K, N=N, z=z, t=mid))
     return records
 
 
-def run_geometry(cfg, seed: int, tol: float | None) -> list[list[str]]:
+def run_geometry(cfg, seed: int, tol: dict) -> list[list[str]]:
     del seed
-    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
+    N = _params_n(cfg)
     space = _space_from(cfg, "space")
     grid_n = _count(cfg, "params", "grid", 400)
     cert = geometry.min_ricci_n(space, N,
@@ -320,22 +329,19 @@ def run_geometry(cfg, seed: int, tol: float | None) -> list[list[str]]:
     u_expr = _get(cfg, "params", "u", "cos(theta)" if var == "theta" else "x")
     u = compile_expr(u_expr, var=var)
     rep = geometry.bochner_margin(space, u, N,
-                                  convexity.interior_grid(space.interval, 64, 1e-3),
-                                  tol=1e-8 if tol is None else tol)
+                                  convexity.interior_grid(space.interval, 64, 1e-3), **tol)
     records.append(_record("geometry", rep, N=N, u=u_expr))
     mesh = _count(cfg, "params", "mesh", 2000, least=4)
-    eig = geometry.lichnerowicz(space, N, mesh_size=mesh,
-                                **({} if tol is None else {"tol": tol}))
+    eig = geometry.lichnerowicz(space, N, mesh_size=mesh, **tol)
     records.append(_record("geometry", eig, N=N, mesh=mesh, lambda1=eig.lambda1,
                            bound=eig.bound))
     return records
 
 
-def run_transport(cfg, seed: int, tol: float | None) -> list[list[str]]:
+def run_transport(cfg, seed: int, tol: dict) -> list[list[str]]:
     del seed
     K = _get(cfg, "params", "K", required=True, conv=float)
-    N = _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
-    tol = 1e-8 if tol is None else tol
+    N = _params_n(cfg)
     space = _space_from(cfg, "space")
     if not isinstance(space, geometry.WeightedLine):
         raise ConfigError("[space] transport suite needs a line-type space")
@@ -354,20 +360,20 @@ def run_transport(cfg, seed: int, tol: float | None) -> list[list[str]]:
     def bm():
         A0 = _get(cfg, "params", "A0", required=True, conv=_pair)
         A1 = _get(cfg, "params", "A1", required=True, conv=_pair)
-        return transport.brunn_minkowski(space, A0, A1, t_bm, K, N, tol=tol)
+        return transport.brunn_minkowski(space, A0, A1, t_bm, K, N, **tol)
 
     calls = {
-        "cd": lambda: transport.check_cd(space, mu0, mu1, K, N, t_grid, tol=tol),
+        "cd": lambda: transport.check_cd(space, mu0, mu1, K, N, t_grid, **tol),
         "cdstar": lambda: transport.check_cd(space, mu0, mu1, K, N, t_grid,
-                                             mode="CDstar", tol=tol),
+                                             mode="CDstar", **tol),
         "jacobian": lambda: transport.check_jacobian_convexity(space, mu0, mu1, K, N,
-                                                               t_grid, tol=tol),
+                                                               t_grid, **tol),
         "bm": bm,
         "entropic": lambda: transport.check_entropic_cd(space, mu0, mu1, K, N, t_grid,
-                                                        tol=tol),
-        "hwi": lambda: transport.hwi_check(space, mu0, mu1, K, N, tol=tol),
-        "talagrand": lambda: transport.talagrand_check(space, mu0, K, N, tol=tol),
-        "logsobolev": lambda: transport.log_sobolev_check(space, mu0, K, N, tol=tol),
+                                                        **tol),
+        "hwi": lambda: transport.hwi_check(space, mu0, mu1, K, N, **tol),
+        "talagrand": lambda: transport.talagrand_check(space, mu0, K, N, **tol),
+        "logsobolev": lambda: transport.log_sobolev_check(space, mu0, K, N, **tol),
     }
     for check in checks:
         if check not in calls:
@@ -419,14 +425,14 @@ def _resolve_out_dir(cli_value: str | None, cfg) -> Path:
     return Path(os.environ.get(ENV_OUT_DIR, "negdimcd-out"))
 
 
-def _run_suite(cfg, seed: int, tol: float | None) -> list[list[str]]:
+def _run_suite(cfg, seed: int, tol: dict) -> list[list[str]]:
     suite = _get(cfg, "run", "suite", required=True)
     if suite not in _SUITES:
         raise ConfigError(f"[run] suite={suite!r} not one of {sorted(_SUITES)}")
     return _SUITES[suite](cfg, seed, tol)
 
 
-def _run_groups(cfg, seed: int, tol: float | None) -> list[list[str]]:
+def _run_groups(cfg, seed: int, tol: dict) -> list[list[str]]:
     """Each group of [<group>.<section>] sections, read as a config of its own
     with the prefix stripped, in file order.  The file's [run] holds seed, tol
     and out_dir for every group and stands alone outside the groups, so no
@@ -449,7 +455,7 @@ def _run_groups(cfg, seed: int, tol: float | None) -> list[list[str]]:
                 if key != "suite":
                     raise ConfigError(f"[run] {key}: a group's [run] holds only suite")
             records += _run_suite(gcfg, seed, tol)
-        except (ValueError, QuadratureError, MemoryError) as exc:
+        except _FAILURES as exc:
             raise ConfigError(f"group {group}: {exc}") from exc
     return records
 
@@ -457,7 +463,7 @@ def _run_groups(cfg, seed: int, tol: float | None) -> list[list[str]]:
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
     seed = args.seed if args.seed is not None else _get(cfg, "run", "seed", 0, conv=int)
-    tol = args.tol if args.tol is not None else _get(cfg, "run", "tol", conv=float)
+    tol = _tol(args.tol, cfg, "run")
     records = (_run_groups(cfg, seed, tol) if any("." in s for s in cfg.sections())
                else _run_suite(cfg, seed, tol))
     out_dir = _resolve_out_dir(args.out_dir, cfg)
@@ -472,7 +478,7 @@ def cmd_certify(args) -> int:
     n_values = [_negative_n(v, "[certify] N")
                 for v in _get(cfg, "certify", "N", required=True, conv=_floats)]
     grid_n = _count(cfg, "certify", "grid", 400)
-    tol = args.tol if args.tol is not None else _get(cfg, "certify", "tol", 1e-9, conv=float)
+    tol = _tol(args.tol, cfg, "certify")
     out_dir = _resolve_out_dir(args.out_dir, cfg)
     records = []
     for N in n_values:
@@ -485,7 +491,7 @@ def cmd_certify(args) -> int:
         be = convexity.bakry_emery(f, N, grid)
         K = float(np.min(be, where=np.isfinite(be), initial=math.inf))
         rep = convexity.check_pointwise(f, convexity.ConvexityParams(K, N, window),
-                                        grid, tol)
+                                        grid, **tol)
         records.append(_record("certify", rep, N=N, K=K))
         if rep.passed:
             print(f"N={N}: largest passing K = {K!r}")
@@ -551,7 +557,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # as -inf, nan and pass=false
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ValueError, QuadratureError, MemoryError) as exc:
+    except _FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .comparison import c as comp_c
 from .comparison import s as comp_s
-from .comparison import negative_n, segment_limit, sigma, tau
+from .comparison import below_segment_limit, negative_n, sigma, tau
 from .convexity import interior_grid
 from .geometry import WeightedLine
 from .quadrature import gl_nodes, integrate
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 _DENSITY_FLOOR = 1e-300
+# how far from 1 a Density1D's mass may be, and how much of it may lie off a space
+MASS_TOL = 1e-8
 
 
 def _simpson_cdf(y, h):
@@ -80,7 +82,7 @@ class Density1D:
     and quantile evaluators are built from a table of the composite Simpson
     rule on ``quad_nodes`` (at least 2) equal intervals, the formula of
     ``scipy.integrate.cumulative_simpson(y, dx=h)``; the total mass must be 1
-    within 1e-8 unless ``normalize`` is set, which divides ``pdf`` and
+    within MASS_TOL unless ``normalize`` is set, which divides ``pdf`` and
     ``d_pdf`` by it.
     """
 
@@ -125,8 +127,9 @@ class Density1D:
             if self.d_pdf is not None:
                 self.d_pdf = scaled(self.d_pdf)
             cdf = cdf / mass
-        elif abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"density mass {mass!r} differs from 1 by more than 1e-8")
+        elif abs(mass - 1.0) > MASS_TOL:
+            raise ValueError(f"density mass {mass!r} differs from 1 by more than "
+                             f"{MASS_TOL:g}")
         # enforce exact monotonicity for interpolation
         cdf = np.maximum.accumulate(cdf)
         cdf[-1] = max(cdf[-1], 1.0)
@@ -214,32 +217,26 @@ def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
     return math.sqrt(max(float(np.sum(wts * dq * dq)), 0.0))
 
 
-@dataclass
 class GeodesicPath:
-    """Displacement interpolation along the monotone map T = Q1 o F0; ``t``
-    and ``x`` broadcast, so times in a column give a (t, x) array."""
+    """Displacement interpolation from the source points ``x`` along the monotone
+    map T = Q1 o F0, with ``Tx`` = T(x) and ``dTx`` = T'(x) = rho0 / (rho1 o T)
+    (rho1 floored away from 0) evaluated once; times in a column give (t, x) arrays."""
 
-    mu0: Density1D
-    mu1: Density1D
+    def __init__(self, mu0: Density1D, mu1: Density1D, x):
+        self.x = np.asarray(x, dtype=float)
+        self.Tx = mu1.quantile(mu0.cdf(self.x))
+        self.dTx = mu0.pdf(self.x) / np.maximum(mu1.pdf(self.Tx), _DENSITY_FLOOR)
 
-    def map(self, x):
-        """The monotone rearrangement T = Q1 o F0."""
-        return self.mu1.quantile(self.mu0.cdf(x))
+    def position(self, t):
+        return (1.0 - t) * self.x + t * self.Tx
 
-    def d_map(self, x):
-        """T' = rho0 / (rho1 o T), with rho1 floored away from 0."""
-        return self.mu0.pdf(x) / np.maximum(self.mu1.pdf(self.map(x)), _DENSITY_FLOOR)
+    def jacobian_lebesgue(self, t):
+        return (1.0 - t) + t * self.dTx
 
-    def position(self, t, x):
-        return (1.0 - t) * np.asarray(x, dtype=float) + t * self.map(x)
-
-    def jacobian_lebesgue(self, t, x):
-        return (1.0 - t) + t * self.d_map(x)
-
-    def jacobian(self, space: WeightedLine, t, x):
+    def jacobian(self, space: WeightedLine, t):
         """Weighted Jacobian J_t(x) = e^{psi(x)-psi(T_t x)} ((1-t) + t T'(x))."""
         psi = space.psi
-        return np.exp(psi(x) - psi(self.position(t, x))) * self.jacobian_lebesgue(t, x)
+        return np.exp(psi(self.x) - psi(self.position(t))) * self.jacobian_lebesgue(t)
 
 
 def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
@@ -247,13 +244,12 @@ def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
     rebuilt as a standalone Density1D."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    path = GeodesicPath(mu0, mu1)
-    xs = mu0._xs
-    ys = path.position(t, xs)
-    jac = path.jacobian_lebesgue(t, xs)
+    path = GeodesicPath(mu0, mu1, mu0._xs)
+    ys = path.position(t)
+    jac = path.jacobian_lebesgue(t)
     if np.any(jac <= 0):
         raise ValueError("monotonicity violated: nonpositive interpolation Jacobian")
-    vals = mu0.pdf(xs) / jac
+    vals = mu0.pdf(path.x) / jac
 
     def pdf(y):
         return np.interp(y, ys, vals, left=0.0, right=0.0)
@@ -330,17 +326,16 @@ def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
     n_primes = list(n_prime_list) if n_prime_list is not None else [N]
     if any(not (N <= npr < 0) for npr in n_primes):
         raise ValueError("every N' must lie in [N, 0)")
-    path = GeodesicPath(mu0, mu1)
     xs, meas = _source_nodes(mu0)
-    Tx = path.map(xs)
-    theta = np.abs(Tx - xs)
+    path = GeodesicPath(mu0, mu1, xs)
+    theta = np.abs(path.Tx - xs)
     rho0 = np.maximum(_weighted_density_values(mu0, space, xs), _DENSITY_FLOOR)
-    rho1 = np.maximum(_weighted_density_values(mu1, space, Tx), _DENSITY_FLOOR)
+    rho1 = np.maximum(_weighted_density_values(mu1, space, path.Tx), _DENSITY_FLOOR)
     clamped = bool(np.any(rho0 <= _DENSITY_FLOOR) or np.any(rho1 <= _DENSITY_FLOOR))
     # axes: t, x; the coefficients add an end (1 - t or t) in front
     t = np.asarray(t_grid, dtype=float)[:, None]
     ends = np.stack((1.0 - t, t))
-    jac_over_rho0 = path.jacobian(space, t, xs) / rho0
+    jac_over_rho0 = path.jacobian(space, t) / rho0
     margins, scales = [], []
     for npr in n_primes:
         coef = tau(K, npr, ends, theta) if mode == "CD" else sigma(K / npr, ends, theta)
@@ -368,16 +363,16 @@ def check_jacobian_convexity(space: WeightedLine, mu0: Density1D, mu1: Density1D
     x in the source support less 1e-6 of its length at each end.
     """
     negative_n(N)
-    path = GeodesicPath(mu0, mu1)
     xs = interior_grid(mu0.support, 64)
-    if np.any(path.d_map(xs) <= 0):
+    path = GeodesicPath(mu0, mu1, xs)
+    if np.any(path.dTx <= 0):
         raise ValueError("monotonicity violated: nonpositive map derivative")
-    theta = np.abs(path.map(xs) - xs)
-    j1 = path.jacobian(space, 1.0, xs)
+    theta = np.abs(path.Tx - xs)
+    j1 = path.jacobian(space, 1.0)
     # axes: t, x
     t = np.asarray(t_grid, dtype=float)[:, None]
     coef = tau(K, N, np.stack((1.0 - t, t)), theta)
-    jt = path.jacobian(space, t, xs)
+    jt = path.jacobian(space, t)
     margins = coef[0] + coef[1] * np.exp(np.log(j1) / N) - np.exp(np.log(jt) / N)
     locations = np.stack(np.broadcast_arrays(xs, t), axis=-1).reshape(-1, 2)
     return CheckReport.from_margins("jacobian-convexity", margins.ravel(), locations,
@@ -439,13 +434,13 @@ def check_entropic_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D,
     """
     negative_n(N)
     W = w2(mu0, mu1)
-    path = GeodesicPath(mu0, mu1)
     xs, meas = _source_nodes(mu0)
+    path = GeodesicPath(mu0, mu1, xs)
     ent0 = relative_entropy(mu0, space)
     ent1 = relative_entropy(mu1, space)
     t = np.asarray(t_grid, dtype=float)
     w = sigma(K / N, np.stack((1.0 - t, t)), W)
-    ent_t = ent0 - np.sum(meas * np.log(path.jacobian(space, t[:, None], xs)), axis=1)
+    ent_t = ent0 - np.sum(meas * np.log(path.jacobian(space, t[:, None])), axis=1)
     margins = np.where(np.isinf(w).any(axis=0), math.inf,
                        w[0] * math.exp(-ent0 / N) + w[1] * math.exp(-ent1 / N)
                        - np.exp(-ent_t / N))
@@ -458,9 +453,7 @@ def hwi_check(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
     """Dimensional HWI margin:
     E_N(mu1)/E_N(mu0) - c_{K/N}(W) - s_{K/N}(W)/N * sqrt(I(mu0))."""
     negative_n(N)
-    W = w2(mu0, mu1)
-    if W > segment_limit(K, N):
-        raise ValueError("W2 exceeds pi*sqrt(N/K); inequality not applicable")
+    W = below_segment_limit(w2(mu0, mu1), K, N)
     ent0 = relative_entropy(mu0, space)
     ent1 = relative_entropy(mu1, space)
     i0 = fisher_information(mu0, space)

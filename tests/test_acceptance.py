@@ -179,14 +179,14 @@ def test_08_transport_oracles():
     gl = nd.gaussian_line(1.0)
     ent_err = abs(nd.relative_entropy(g1, gl) - 0.5)
     fi_err = abs(nd.fisher_information(g1, gl) - 1.0)
-    path = nd.GeodesicPath(g0, g1)
     xs, _ = g0.interior_nodes(512, 4)
+    path = nd.GeodesicPath(g0, g1, xs)
     ma = 0.0
     for t in (0.25, 0.5, 0.75):
         dens = nd.interpolate(g0, g1, t)
         resid = np.abs(np.asarray(g0.pdf(xs))
-                       - np.asarray(dens.pdf(path.position(t, xs)))
-                       * path.jacobian_lebesgue(t, xs))
+                       - np.asarray(dens.pdf(path.position(t)))
+                       * path.jacobian_lebesgue(t))
         ma = max(ma, float(resid.max()))
     report(8, f"transport oracles: W2 err {w2_err:.1e} (<=1e-4), Ent err "
               f"{ent_err:.1e}, Fisher err {fi_err:.1e} (<=1e-6), MA residual "
@@ -225,9 +225,8 @@ def test_10_cd_suite():
     cd = nd.check_cd(space, mu0, mu1, 0.0, N, ts)
     bm = nd.brunn_minkowski(space, (1.0, 2.0), (2.0, 4.0), 0.5, 0.0, N)
     # tau <= sigma at every coefficient evaluated by the CD run
-    plan = nd.GeodesicPath(mu0, mu1)
     xs, _ = mu0.interior_nodes(512, 4)
-    thetas = np.abs(np.asarray(plan.map(xs)) - xs)
+    thetas = np.abs(nd.GeodesicPath(mu0, mu1, xs).Tx - xs)
     tau_le_sigma = True
     for t in ts:
         for tt in (t, 1.0 - t):

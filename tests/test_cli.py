@@ -358,10 +358,22 @@ class TestConfigNumbers:
          "[function] domain (nan, 1.0) is not a finite interval lo < hi"),
         (LOG_FLOW_CFG, ("expr = log(x)\ndomain = 0.5 3", "kind = b"),
          "[potential] kind 'b' requires K > 0"),
+        # a kind's window is held to the same rule: these ended with the
+        # segment draw's message or interior_grid's, and the flow ran
+        (CONVEXITY_CFG, ("kind = c\n\n[params]\nK = 0",
+                         "kind = b\ndomain = 0.5 inf\n\n[params]\nK = 1"),
+         "[function] domain (0.5, inf) is not a finite interval lo < hi"),
+        (CERTIFY_CFG, ("N = -2 -10\n\n[function]\nexpr = x**2/2\ndomain = -3 3",
+                       "N = -2 -10\nK_hint = 1\n\n[function]\nkind = b\ndomain = 0.5 inf"),
+         "[function] domain (0.5, inf) is not a finite interval lo < hi"),
+        (LOG_FLOW_CFG, ("expr = log(x)\ndomain = 0.5 3\n\n[params]\nK = 0",
+                        "kind = b\ndomain = 0.5 inf\n\n[params]\nK = 1"),
+         "[potential] domain (0.5, inf) is not a finite interval lo < hi"),
     ], ids=["K", "step", "seed", "t_grid", "certify-N", "domain", "grid0", "certify-grid0",
             "empty-t_grid", "transport-empty-t_grid", "empty-checks", "certify-empty-N",
             "empty-z", "kind-a-K", "reversed-expr-domain", "infinite-expr-domain",
-            "certify-nan-domain", "flow-kind-b-K"])
+            "certify-nan-domain", "flow-kind-b-K", "infinite-kind-domain",
+            "certify-infinite-kind-domain", "flow-infinite-kind-domain"])
     def test_bad_number_names_its_key(self, tmp_path, capsys, text, edit, message):
         assert edit[0] in text
         cfg = write_cfg(tmp_path / "c.cfg", text.replace(*edit))
@@ -602,6 +614,44 @@ class TestSectionGroups:
         assert all(r[3] == "false" for r in rows)
 
 
+class TestTolReachesEveryCheck:
+    @pytest.mark.parametrize("command, name, n_rows", [("run", "battery", 24),
+                                                       ("certify", "certify-quadratic", 2)])
+    def test_minus_one_fails_every_margin_below_one(self, tmp_path, command, name, n_rows):
+        # a tolerance of -1 asks every margin to reach 1: a row below 1 that
+        # passes ran at some other tolerance.  min-ricci is an info row, whose
+        # margin is the measured curvature
+        out = tmp_path / "o"
+        assert main([command, str(ROOT / "configs" / f"{name}.cfg"), "--tol", "-1",
+                     "--out-dir", str(out)]) == 1
+        _, rows = read_records(out)
+        assert len(rows) == n_rows
+        passing = [r for r in rows if r[3] == "true"]
+        assert all(float(r[2]) >= 1 or r[0] == "geometry/min-ricci" for r in passing)
+
+    def test_no_tol_leaves_each_check_its_default(self, tmp_path, monkeypatch):
+        # the CLI ran brunn_minkowski at 1e-8 and regularizing_bounds at
+        # 1e-6, looser than their own 1e-9
+        calls = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def called(*args, **kwargs):
+                calls.append((name, kwargs.get("tol")))
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, called)
+
+        spy(transport, "brunn_minkowski")
+        spy(gradflow, "regularizing_bounds")
+        assert main(["run", str(BATTERY), "--out-dir", str(tmp_path / "a")]) == 0
+        assert calls == [("regularizing_bounds", None)] * 3 + [("brunn_minkowski", None)]
+        calls.clear()
+        main(["run", str(BATTERY), "--tol", "1e-7", "--out-dir", str(tmp_path / "b")])
+        assert calls == [("regularizing_bounds", 1e-7)] * 3 + [("brunn_minkowski", 1e-7)]
+
+
 class TestRecordValues:
     def test_row_keeps_signs_of_infinities(self):
         rows = [_record("s", CheckReport("x", False, v, None, 1, 0.0))[2]
@@ -695,6 +745,17 @@ checks = entropic
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
             "error: integral did not stabilize after 6 doublings\n")
+
+    def test_overflowing_entropy_is_an_error_line(self, tmp_path):
+        # exp(-Ent(mu0)/N) overflows for a normal 60 sd out in the Gaussian
+        # reference measure: an OverflowError traceback ended the run before
+        text = shipped("transport-gaussian").replace(
+            "kind = gaussian\n\n[mu0]", "kind = gaussian\nradius = 100\n\n[mu0]")
+        cfg = write_cfg(tmp_path / "e.cfg", text.replace("mean = 1.0", "mean = 60"))
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
 
     def test_flow_with_too_many_steps_is_an_error_line(self, tmp_path, capsys):
         text = (ROOT / "configs" / "flow-quadratic.cfg").read_text(encoding="utf-8")
@@ -853,6 +914,20 @@ domain = -1 1
         for r in rows:
             kval = float(r[1].split("K=")[1])
             assert abs(kval) <= 1e-5
+
+    def test_kind_family_certifies_its_k_hint(self, tmp_path, capsys):
+        # K_hint is the K that builds a kind family; family b is an equality
+        # case, so its Bakry-Emery term is K_hint on every grid point, at each N
+        text = "[certify]\nN = -2 -5\nK_hint = 1\n\n[function]\nkind = b\n"
+        cfg = write_cfg(tmp_path / "b.cfg", text)
+        assert main(["certify", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+        _, rows = read_records(tmp_path / "o")
+        assert [float(r[1].split("K=")[1]) for r in rows] == pytest.approx([1.0, 1.0],
+                                                                           abs=1e-12)
+        # without it the family is built at K = 0, which family b does not take
+        cfg = write_cfg(tmp_path / "b0.cfg", text.replace("K_hint = 1\n", ""))
+        assert main(["certify", cfg, "--out-dir", str(tmp_path / "o0")]) == 2
+        assert capsys.readouterr().err == "error: [function] kind 'b' requires K > 0\n"
 
     def test_infinite_n_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "n.cfg", """

@@ -158,9 +158,9 @@ def product_loop(psi1, psi2, N1, N2, xs, ys, n_directions):
 
 def transport_terms(space, mu0, mu1):
     """Source nodes, their mu0-weights, T, T', and d(mu)/dm of both ends."""
-    path = GeodesicPath(mu0, mu1)
     xs, wts = mu0.interior_nodes(512, 4)
-    Tx, dTx = np.asarray(path.map(xs)), np.asarray(path.d_map(xs))
+    path = GeodesicPath(mu0, mu1, xs)
+    Tx, dTx = path.Tx, path.dTx
     psi = lambda y: np.asarray(space.psi(y), dtype=float)
     rho0 = np.maximum(np.asarray(mu0.pdf(xs)) * np.exp(psi(xs)), 1e-300)
     rho1 = np.maximum(np.asarray(mu1.pdf(Tx)) * np.exp(psi(Tx)), 1e-300)

@@ -173,21 +173,21 @@ class TestTransportMap:
     def test_pushforward_residual(self):
         mu0 = gaussian_density(0.0, 1.0)
         mu1 = gaussian_density(0.5, 1.3)
-        plan = GeodesicPath(mu0, mu1)
         xs = np.linspace(-2.5, 2.5, 21)
-        resid = np.abs(np.asarray(mu1.cdf(plan.map(xs))) - np.asarray(mu0.cdf(xs)))
+        resid = np.abs(np.asarray(mu1.cdf(GeodesicPath(mu0, mu1, xs).Tx))
+                       - np.asarray(mu0.cdf(xs)))
         assert resid.max() <= 1e-6
 
     def test_map_monotone_and_derivative_consistent(self):
         mu0 = gaussian_density(0.0, 1.0)
         mu1 = uniform_density(1.0, 4.0)
-        plan = GeodesicPath(mu0, mu1)
         xs = np.linspace(-2.0, 2.0, 31)
-        Tx = np.asarray(plan.map(xs))
-        assert np.all(np.diff(Tx) > 0)
+        plan = GeodesicPath(mu0, mu1, xs)
+        assert np.all(np.diff(plan.Tx) > 0)
         h = 1e-5
-        fd = (np.asarray(plan.map(xs + h)) - np.asarray(plan.map(xs - h))) / (2 * h)
-        assert np.max(np.abs(fd - np.asarray(plan.d_map(xs)))) <= 1e-3
+        ahead, behind = GeodesicPath(mu0, mu1, xs + h), GeodesicPath(mu0, mu1, xs - h)
+        fd = (ahead.Tx - behind.Tx) / (2 * h)
+        assert np.max(np.abs(fd - plan.dTx)) <= 1e-3
 
 
 class TestInterpolation:
@@ -218,25 +218,25 @@ class TestInterpolation:
     def test_monge_ampere_residual_lebesgue(self):
         mu0 = gaussian_density(0.0, 1.0)
         mu1 = gaussian_density(0.5, 1.3)
-        path = GeodesicPath(mu0, mu1)
         xs, _ = mu0.interior_nodes(512, 4)
+        path = GeodesicPath(mu0, mu1, xs)
         for t in (0.25, 0.5, 0.75):
             dens = interpolate(mu0, mu1, t)
-            Ttx = path.position(t, xs)
-            J = path.jacobian_lebesgue(t, xs)
+            Ttx = path.position(t)
+            J = path.jacobian_lebesgue(t)
             resid = np.abs(np.asarray(mu0.pdf(xs)) - np.asarray(dens.pdf(Ttx)) * J)
             assert resid.max() <= 1e-6
 
     def test_monge_ampere_residual_weighted(self):
         space = power_weight_line(-3.0, 0.5, 8.0)
         mu0, mu1 = uniform_density(1.0, 2.0), uniform_density(3.0, 5.0)
-        path = GeodesicPath(mu0, mu1)
         xs, _ = mu0.interior_nodes(256, 4)
+        path = GeodesicPath(mu0, mu1, xs)
         for t in (0.3, 0.6):
             dens = interpolate(mu0, mu1, t)
-            Ttx = path.position(t, xs)
+            Ttx = path.position(t)
             jw = (np.exp(np.asarray(space.psi(xs)) - np.asarray(space.psi(Ttx)))
-                  * path.jacobian_lebesgue(t, xs))
+                  * path.jacobian_lebesgue(t))
             rho0 = np.asarray(mu0.pdf(xs)) * np.exp(np.asarray(space.psi(xs)))
             rho_t = np.asarray(dens.pdf(Ttx)) * np.exp(np.asarray(space.psi(Ttx)))
             assert np.abs(rho0 - rho_t * jw).max() <= 1e-6
@@ -526,6 +526,12 @@ class TestFunctionalInequalities:
         ref = reference_density(self.GL)
         rep = hwi_check(self.GL, ref, ref, 1.0, -2.0)
         assert abs(rep.worst_margin) <= 1e-6
+
+    def test_hwi_needs_w2_below_the_segment_limit(self):
+        # at K < 0 the inequality controls W2 below pi*sqrt(N/K) = pi*sqrt(2) only
+        with pytest.raises(ValueError, match=r"segment length 5\.0\d* reaches pi\*sqrt"):
+            hwi_check(self.GL, gaussian_density(0.0, 1.0), gaussian_density(5.0, 1.0),
+                      -1.0, -2.0)
 
     def test_hwi_flat_space_shifted_uniforms(self):
         leb = lebesgue_line(-5.0, 5.0)
