@@ -52,9 +52,11 @@ def _rng(seed: int, label: str) -> np.random.Generator:
 
 
 def _record(suite: str, report: CheckReport, **params) -> list[str]:
-    """The records.csv row of a report, in RECORD_HEADER order."""
+    """The records.csv row of a report, in RECORD_HEADER order, then the
+    report's status and note, which only the summary shows."""
     return [f"{suite}/{report.name}", ";".join(f"{k}={v}" for k, v in params.items()),
-            repr(float(report.worst_margin)), "true" if report.passed else "false"]
+            repr(float(report.worst_margin)), "true" if report.passed else "false",
+            report.status, report.note]
 
 
 def _n_passed(rows: Sequence[list[str]]) -> int:
@@ -64,7 +66,7 @@ def _n_passed(rows: Sequence[list[str]]) -> int:
 def _print_failures(rows: Sequence[list[str]]) -> int:
     """A FAIL line per failed row; the exit status, 1 if there was one."""
     failed = [row for row in rows if row[3] != "true"]
-    for check_id, params, margin, _ in failed:
+    for check_id, params, margin, *_ in failed:
         print(f"FAIL {check_id} margin={margin} {params}")
     return 1 if failed else 0
 
@@ -395,14 +397,16 @@ def _write_records(rows: Sequence[list[str]], out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "records.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([RECORD_HEADER, *rows])
+        csv.writer(fh, lineterminator="\n").writerows(
+            [RECORD_HEADER, *(row[:len(RECORD_HEADER)] for row in rows)])
     return path
 
 
 def _write_summary(rows: Sequence[list[str]], out_dir: Path) -> Path:
     path = out_dir / "summary.txt"
-    lines = [f"{'PASS' if passed == 'true' else 'FAIL'}  {check_id}  "
-             f"margin={margin}  {params}" for check_id, params, margin, passed in rows]
+    lines = [f"{'PASS' if passed == 'true' else 'FAIL'}  {check_id}  margin={margin}  {params}"
+             + (f"  status={status} note={note}" if status != "checked" or note else "")
+             for check_id, params, margin, passed, status, note in rows]
     lines.append(f"total: {_n_passed(rows)}/{len(rows)} passed")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -57,21 +57,30 @@ def _simpson_cdf(y, h):
     equal intervals ``h``, from 0; bit for bit
     ``scipy.integrate.cumulative_simpson(y, dx=h, initial=0.0)``.  Intervals
     2m and 2m+1 take the parabola through nodes 2m..2m+2, read forward and
-    backward; for an even node count the last interval takes the parabola
-    through the last three nodes (eq. (10) of K. V. Cartwright, J. Math. Sci.
-    Math. Educ. 12(2))."""
-
-    def interval(near, mid, far):
-        return h / 3 * (5 * near / 4 + 2 * mid - far / 4)
-
+    backward, each as ``h/3 * ((2*mid + 5*near/4) - far/4)``; for an even
+    node count the last interval takes the parabola through the last three
+    nodes (eq. (10) of K. V. Cartwright, J. Math. Sci. Math. Educ. 12(2)).
+    An even node is the near end of one parabola and the far end of the
+    next, so its end terms are computed once, in one scratch array."""
     n = len(y)
     e = 2 * ((n - 1) // 2)
-    parts = np.zeros(n)
-    parts[1:e:2] = interval(y[0:e:2], y[1:e:2], y[2:e + 1:2])
-    parts[2:e + 1:2] = interval(y[2:e + 1:2], y[1:e:2], y[0:e:2])
+    ends, mids = y[0:e + 1:2], y[1:e:2]
+    cdf = np.empty(n)
+    cdf[0] = 0.0
+    fwd, back = cdf[1:e:2], cdf[2:e + 1:2]
+    term = 5 * ends
+    term /= 4
+    np.multiply(mids, 2, out=fwd)
+    fwd += term[:-1]
+    np.multiply(mids, 2, out=back)
+    back += term[1:]
+    np.divide(ends, 4, out=term)
+    fwd -= term[1:]
+    back -= term[:-1]
+    cdf[1:e + 1] *= h / 3
     if n % 2 == 0:
-        parts[-1] = interval(y[-1], y[-2], y[-3])
-    return np.cumsum(parts, out=parts)
+        cdf[-1] = h / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    return np.cumsum(cdf, out=cdf)
 
 
 @dataclass
@@ -83,7 +92,9 @@ class Density1D:
     rule on ``quad_nodes`` (at least 2) equal intervals, the formula of
     ``scipy.integrate.cumulative_simpson(y, dx=h)``; the total mass must be 1
     within MASS_TOL unless ``normalize`` is set, which divides ``pdf`` and
-    ``d_pdf`` by it.
+    ``d_pdf`` by it.  A Simpson increment can be negative where the pdf
+    rises steeply from near zero; only then is the table made monotone by a
+    running maximum, the identity on a non-decreasing table.
     """
 
     support: Tuple[float, float]
@@ -102,7 +113,7 @@ class Density1D:
         if self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes!r}")
         xs = np.linspace(a, b, self.quad_nodes + 1)
-        if np.any(np.diff(xs) <= 0):
+        if np.any(xs[1:] <= xs[:-1]):
             raise ValueError(f"support {self.support!r} is narrower than its "
                              f"{self.quad_nodes} intervals: nodes must be strictly increasing")
         pv = np.asarray(self.pdf(xs), dtype=float)
@@ -126,12 +137,13 @@ class Density1D:
             self.pdf = scaled(self.pdf)
             if self.d_pdf is not None:
                 self.d_pdf = scaled(self.d_pdf)
-            cdf = cdf / mass
+            cdf /= mass
         elif abs(mass - 1.0) > MASS_TOL:
             raise ValueError(f"density mass {mass!r} differs from 1 by more than "
                              f"{MASS_TOL:g}")
-        # enforce exact monotonicity for interpolation
-        cdf = np.maximum.accumulate(cdf)
+        if not (cdf[1:] >= cdf[:-1]).all():
+            # a negative Simpson increment: interpolation needs a monotone table
+            np.maximum.accumulate(cdf, out=cdf)
         cdf[-1] = max(cdf[-1], 1.0)
         self._xs = xs
         self._cdf = cdf
@@ -219,13 +231,15 @@ def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
 
 class GeodesicPath:
     """Displacement interpolation from the source points ``x`` along the monotone
-    map T = Q1 o F0, with ``Tx`` = T(x) and ``dTx`` = T'(x) = rho0 / (rho1 o T)
-    (rho1 floored away from 0) evaluated once; times in a column give (t, x) arrays."""
+    map T = Q1 o F0, with ``rho0`` = rho0(x), ``Tx`` = T(x) and ``dTx`` = T'(x) =
+    rho0 / (rho1 o T) (rho1 floored away from 0) evaluated once; times in a
+    column give (t, x) arrays."""
 
     def __init__(self, mu0: Density1D, mu1: Density1D, x):
         self.x = np.asarray(x, dtype=float)
         self.Tx = mu1.quantile(mu0.cdf(self.x))
-        self.dTx = mu0.pdf(self.x) / np.maximum(mu1.pdf(self.Tx), _DENSITY_FLOOR)
+        self.rho0 = mu0.pdf(self.x)
+        self.dTx = self.rho0 / np.maximum(mu1.pdf(self.Tx), _DENSITY_FLOOR)
 
     def position(self, t):
         return (1.0 - t) * self.x + t * self.Tx
@@ -249,7 +263,7 @@ def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
     jac = path.jacobian_lebesgue(t)
     if np.any(jac <= 0):
         raise ValueError("monotonicity violated: nonpositive interpolation Jacobian")
-    vals = mu0.pdf(path.x) / jac
+    vals = path.rho0 / jac
 
     def pdf(y):
         return np.interp(y, ys, vals, left=0.0, right=0.0)

@@ -244,6 +244,24 @@ mesh = 800
         assert math.isnan(float(gap[2]))
         assert gap[3] == "false"
 
+    def test_summary_shows_status_and_note(self, tmp_path):
+        # only a plain checked report with an empty note goes without them;
+        # records.csv keeps its four columns
+        text = (ROOT / "configs" / "geometry-sphere.cfg").read_text()
+        cfg = write_cfg(tmp_path / "g.cfg", text.replace("mesh = 2000", "mesh = 8"))
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out), "--tol", "1e-6"]) == 1
+        header, rows = read_records(out)
+        assert {len(row) for row in rows} == {len(header)}
+        ricci, bochner, gap = rows
+        lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == f"PASS  geometry/min-ricci  margin=1.0  {ricci[1]}  status=info note="
+        assert lines[1] == f"PASS  geometry/bochner  margin={bochner[2]}  {bochner[1]}"
+        prefix = (f"FAIL  geometry/spectral-gap  margin=nan  {gap[1]}  "
+                  "status=inconclusive note=mesh too coarse: lambda1 shifted by ")
+        assert lines[2].startswith(prefix)
+        assert float(lines[2][len(prefix):]) == pytest.approx(0.18, abs=0.01)
+
 
 SQRT_CFG = """
 [run]

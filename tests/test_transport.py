@@ -79,6 +79,24 @@ class TestDensity1D:
             Density1D(support=(0.0, 1.0), pdf=lambda x: 0.5 / np.sqrt(x), normalize=True)
 
 
+@st.composite
+def _sampled_pdfs(draw):
+    """(support, quad_nodes, pdf): a pdf that returns one array of samples,
+    runs of zeros between runs of uniform draws, scaled to Simpson mass 1
+    and ending in a positive run.  Where a zero run meets a positive one a
+    Simpson increment can be negative, and the table needs its running
+    maximum."""
+    runs = draw(st.lists(st.tuples(st.integers(1, 300), st.booleans()), min_size=1,
+                         max_size=12))
+    width = draw(st.floats(1e-3, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pv = np.concatenate([np.zeros(k) if zero else rng.uniform(0.0, 1.0, k)
+                         for k, zero in runs] + [rng.uniform(0.5, 1.0, 3)])
+    quad_nodes = len(pv) - 1
+    pv /= cumulative_simpson(pv, dx=width / quad_nodes)[-1]
+    return (0.0, width), quad_nodes, lambda x: pv
+
+
 class TestSimpsonTable:
     """The cdf table's Simpson rule is scipy's, bit for bit."""
 
@@ -114,6 +132,26 @@ class TestSimpsonTable:
             got = _simpson_cdf(y, h)
             want = cumulative_simpson(y, dx=h, initial=0.0)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_sampled_pdfs(), normalize=st.booleans())
+    # one negative Simpson increment, next to the kink at 0
+    @example(case=((-1.0, 2.0), 8192, lambda x: (abs(x) + x) ** 3), normalize=True)
+    def test_table_is_the_monotone_scipy_table(self, case, normalize):
+        from negdimcd import Density1D
+        (a, b), quad_nodes, pdf = case
+        pv = pdf(np.linspace(a, b, quad_nodes + 1))
+        unchanged = pv.copy()
+        want = cumulative_simpson(pv, dx=(b - a) / quad_nodes, initial=0.0)
+        if normalize:
+            want = want / want[-1]
+        want = np.maximum.accumulate(want)
+        want[-1] = max(want[-1], 1.0)
+        got = Density1D(support=(a, b), pdf=pdf, quad_nodes=quad_nodes,
+                        normalize=normalize)._cdf
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the samples pdf hands out the same array on every call
+        assert np.array_equal(pv.view(np.uint64), unchanged.view(np.uint64))
 
     @pytest.mark.parametrize("quad_nodes", [1, 0, -3])
     def test_fewer_than_two_intervals_rejected(self, quad_nodes):
