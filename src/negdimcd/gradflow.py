@@ -265,8 +265,8 @@ def regularizing_bounds(curve: GradientCurve, f: ScalarFunction1D, K: float,
     negative_n(N)
     fN = exp_transform(f, N)
     if mode == "regularity":
-        if z is None or t is None:
-            raise ValueError("mode 'regularity' needs z and t")
+        if z is None or t is None or not t > 0:
+            raise ValueError("mode 'regularity' needs z and t > 0")
         i = curve.index_at(t)
         below_segment_limit(np.abs(curve.points[: i + 1] - z), K, N)
         S0 = _sq_dist_halves(abs(curve.points[0] - z), K, N)

@@ -231,15 +231,16 @@ def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
 
 class GeodesicPath:
     """Displacement interpolation from the source points ``x`` along the monotone
-    map T = Q1 o F0, with ``rho0`` = rho0(x), ``Tx`` = T(x) and ``dTx`` = T'(x) =
-    rho0 / (rho1 o T) (rho1 floored away from 0) evaluated once; times in a
-    column give (t, x) arrays."""
+    map T = Q1 o F0, with ``rho0`` = rho0(x), ``Tx`` = T(x), ``rho1`` = rho1(T(x))
+    and ``dTx`` = T'(x) = rho0 / rho1 (rho1 floored away from 0) evaluated once;
+    times in a column give (t, x) arrays."""
 
     def __init__(self, mu0: Density1D, mu1: Density1D, x):
         self.x = np.asarray(x, dtype=float)
         self.Tx = mu1.quantile(mu0.cdf(self.x))
         self.rho0 = mu0.pdf(self.x)
-        self.dTx = self.rho0 / np.maximum(mu1.pdf(self.Tx), _DENSITY_FLOOR)
+        self.rho1 = mu1.pdf(self.Tx)
+        self.dTx = self.rho0 / np.maximum(self.rho1, _DENSITY_FLOOR)
 
     def position(self, t):
         return (1.0 - t) * self.x + t * self.Tx
@@ -272,18 +273,13 @@ def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
                      normalize=True, name=f"interp(t={t})")
 
 
-def _weighted_density_values(mu: Density1D, space: WeightedLine, x) -> np.ndarray:
-    """d(mu)/dm at x: Lebesgue pdf times exp(psi)."""
-    return mu.pdf(x) * np.exp(space.psi(x))
-
-
 def renyi_entropy(mu: Density1D, space: WeightedLine, N: float) -> float:
     """S_N = int rho^{(N-1)/N} dm with rho = d(mu)/dm, by adaptive quadrature."""
     negative_n(N)
     p = (N - 1.0) / N
 
     def integrand(x):
-        rho = np.maximum(_weighted_density_values(mu, space, x), _DENSITY_FLOOR)
+        rho = np.maximum(mu.pdf(x) * np.exp(space.psi(x)), _DENSITY_FLOOR)
         return np.exp(p * np.log(rho)) * np.exp(-space.psi(x))
 
     a, b = mu.support
@@ -314,11 +310,6 @@ def fisher_information(mu: Density1D, space: WeightedLine) -> float:
     return integrate(integrand, a + pad, b - pad, n0=128, rtol=1e-10).value
 
 
-def _source_nodes(mu0: Density1D):
-    nodes, wts = mu0.interior_nodes(512, 4)
-    return nodes, wts * mu0.pdf(nodes)
-
-
 def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
              N: float, t_grid: Sequence[float],
              n_prime_list: Sequence[float] | None = None, mode: str = "CD",
@@ -338,24 +329,26 @@ def check_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D, K: float,
     if mode not in ("CD", "CDstar"):
         raise ValueError("mode must be 'CD' or 'CDstar'")
     n_primes = list(n_prime_list) if n_prime_list is not None else [N]
-    if any(not (N <= npr < 0) for npr in n_primes):
-        raise ValueError("every N' must lie in [N, 0)")
-    xs, meas = _source_nodes(mu0)
+    if not n_primes or any(not (N <= npr < 0) for npr in n_primes):
+        raise ValueError("need at least one N', and every N' must lie in [N, 0)")
+    xs, wts = mu0.interior_nodes(512, 4)
     path = GeodesicPath(mu0, mu1, xs)
+    meas = wts * path.rho0
     theta = np.abs(path.Tx - xs)
-    rho0 = np.maximum(_weighted_density_values(mu0, space, xs), _DENSITY_FLOOR)
-    rho1 = np.maximum(_weighted_density_values(mu1, space, path.Tx), _DENSITY_FLOOR)
+    rho0 = np.maximum(path.rho0 * np.exp(space.psi(xs)), _DENSITY_FLOOR)
+    rho1 = np.maximum(path.rho1 * np.exp(space.psi(path.Tx)), _DENSITY_FLOOR)
     clamped = bool(np.any(rho0 <= _DENSITY_FLOOR) or np.any(rho1 <= _DENSITY_FLOOR))
     # axes: t, x; the coefficients add an end (1 - t or t) in front
     t = np.asarray(t_grid, dtype=float)[:, None]
     ends = np.stack((1.0 - t, t))
-    jac_over_rho0 = path.jacobian(space, t) / rho0
+    log0, log1 = np.log(rho0), np.log(rho1)
+    log_jac = np.log(path.jacobian(space, t) / rho0)
     margins, scales = [], []
     for npr in n_primes:
         coef = tau(K, npr, ends, theta) if mode == "CD" else sigma(K / npr, ends, theta)
-        lhs = np.sum(meas * (coef[0] * np.exp(-np.log(rho0) / npr)
-                             + coef[1] * np.exp(-np.log(rho1) / npr)), axis=1)
-        s_t = np.sum(meas * np.exp(np.log(jac_over_rho0) / npr), axis=1)
+        lhs = np.sum(meas * (coef[0] * np.exp(-log0 / npr)
+                             + coef[1] * np.exp(-log1 / npr)), axis=1)
+        s_t = np.sum(meas * np.exp(log_jac / npr), axis=1)
         trivial = np.isinf(coef).any(axis=(0, 2))
         margins.append(np.where(trivial, math.inf, lhs - s_t))
         scales.append(np.maximum(s_t, 1.0))
@@ -448,8 +441,9 @@ def check_entropic_cd(space: WeightedLine, mu0: Density1D, mu1: Density1D,
     """
     negative_n(N)
     W = w2(mu0, mu1)
-    xs, meas = _source_nodes(mu0)
+    xs, wts = mu0.interior_nodes(512, 4)
     path = GeodesicPath(mu0, mu1, xs)
+    meas = wts * path.rho0
     ent0 = relative_entropy(mu0, space)
     ent1 = relative_entropy(mu1, space)
     t = np.asarray(t_grid, dtype=float)

@@ -436,6 +436,11 @@ class TestRegularizing:
                                   "continuity", t0=0.1, t1=0.9, inf_f=0.0)
         assert rep.passed and rep.worst_margin > 0.0
 
+    def test_regularity_at_time_zero_rejected(self, quad_flow):
+        with pytest.raises(ValueError, match=r"needs z and t > 0"):
+            regularizing_bounds(quad_flow, quadratic(1.0), 1.0, -2.0,
+                                "regularity", z=0.0, t=0.0)
+
     def test_missing_inf_rejected(self, quad_flow):
         with pytest.raises(ValueError, match="inf_f"):
             regularizing_bounds(quad_flow, quadratic(1.0), 1.0, -2.0,

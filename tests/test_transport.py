@@ -226,6 +226,35 @@ class TestTransportMap:
         ahead, behind = GeodesicPath(mu0, mu1, xs + h), GeodesicPath(mu0, mu1, xs - h)
         fd = (ahead.Tx - behind.Tx) / (2 * h)
         assert np.max(np.abs(fd - plan.dTx)) <= 1e-3
+        assert (plan.rho1 == mu1.pdf(plan.Tx)).all()
+
+    def test_checkers_evaluate_each_pdf_once_at_the_source_nodes(self):
+        space = gaussian_line(1.0)
+        mu0, mu1 = gaussian_density(0.5, 1.0), gaussian_density(-0.5, 0.8)
+        xs = mu0.interior_nodes(512, 4)[0]
+        Tx = GeodesicPath(mu0, mu1, xs).Tx
+        calls = {0: [], 1: []}
+
+        def counted(mu, key):
+            pdf = mu.pdf
+
+            def wrapper(x):
+                calls[key].append(np.array(x, dtype=float))
+                return pdf(x)
+            return wrapper
+
+        mu0.pdf, mu1.pdf = counted(mu0, 0), counted(mu1, 1)
+
+        def count(key, at):
+            n = sum(x.shape == at.shape and (x == at).all() for x in calls[key])
+            calls[key].clear()
+            return n
+
+        check_cd(space, mu0, mu1, 1.0, -2.0, [0.25, 0.5, 0.75])
+        assert (count(0, xs), count(1, Tx)) == (1, 1)
+        # the entropies' own quadratures evaluate the pdfs elsewhere
+        check_entropic_cd(space, mu0, mu1, 1.0, -2.0, [0.25, 0.5, 0.75])
+        assert count(0, xs) == 1
 
 
 class TestInterpolation:
@@ -411,6 +440,21 @@ class TestCheckCD:
         with pytest.raises(ValueError):
             check_cd(self.SPACE, self.MU0, self.MU1, 0.0, -2.0, [0.5],
                      n_prime_list=[-3.0])
+        with pytest.raises(ValueError, match="at least one N'"):
+            check_cd(self.SPACE, self.MU0, self.MU1, 0.0, -2.0, [0.5], n_prime_list=[])
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=gaussian_cd_cases(), mode=st.sampled_from(["CD", "CDstar"]))
+    @example(case=(SPACE, MU0, MU1, 0.0, -2.0), mode="CD")
+    @example(case=GAUSSIAN, mode="CDstar")
+    def test_several_n_primes_equal_the_single_calls(self, case, mode):
+        space, mu0, mu1, K, N = case
+        n_primes = [N, 0.6 * N, 0.3 * N]
+        joint = check_cd(space, mu0, mu1, K, N, self.TS, n_prime_list=n_primes, mode=mode)
+        worst = min((check_cd(space, mu0, mu1, K, N, self.TS, n_prime_list=[npr], mode=mode)
+                     for npr in n_primes), key=lambda rep: rep.worst_margin)
+        assert (joint.worst_margin, joint.worst_location) == \
+            (worst.worst_margin, worst.worst_location)
 
 
 class TestJacobianConvexity:
