@@ -43,20 +43,29 @@ def _comparison(kappa, theta, sine: bool):
     theta = np.asarray(theta, dtype=float)
     if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
-    k_abs = np.abs(kappa)
-    large = k_abs * theta * theta > SERIES_THRESHOLD
-    rt = np.sqrt(k_abs)
-    out = np.asarray(rt * theta)
     trig, hyp = (np.sin, np.sinh) if sine else (np.cos, np.cosh)
-    trig(out, out=out, where=large & (kappa > 0))
-    hyp(out, out=out, where=large & (kappa < 0))
+    if kappa.ndim == 0:
+        # one buffer holds |kappa|*theta^2, sqrt|kappa|*theta, then the value;
+        # only the ufunc of kappa's sign runs
+        rt = math.sqrt(abs(kappa))
+        out = np.multiply(abs(kappa), theta, out=np.empty(theta.shape))
+        out *= theta
+        large = out > SERIES_THRESHOLD
+        np.multiply(rt, theta, out=out)
+        (trig if kappa > 0 else hyp)(out, out=out, where=large)
+    else:
+        k_abs = np.abs(kappa)
+        large = k_abs * theta * theta > SERIES_THRESHOLD
+        rt = np.sqrt(k_abs)
+        out = np.asarray(rt * theta)
+        trig(out, out=out, where=large & (kappa > 0))
+        hyp(out, out=out, where=large & (kappa < 0))
     if sine:
         np.divide(out, rt, out=out, where=large)
-    small = ~large
-    if small.any():
-        series = _s_series if sine else _c_series
-        kappa, theta = np.broadcast_arrays(kappa, theta)
-        out[small] = series(kappa[small], theta[small])
+    small = np.flatnonzero(~large)
+    if small.size:
+        out.flat[small] = (_s_series if sine else _c_series)(
+            *(np.broadcast_to(a, out.shape).flat[small] for a in (kappa, theta)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -100,6 +109,9 @@ def _distortion(kappa, t, theta, power):
         return tt * np.exp(power * (np.log1p(-_s_defect(k * x * x))
                                     - np.log1p(-_s_defect(k * th * th))))
 
+    if kappa.ndim == 0 and kappa == 0 and np.isfinite(theta).all():
+        # from_log's every log1p is -0.0 and every exp 1: t itself
+        return np.broadcast_to(t, np.broadcast_shapes(t.shape, theta.shape)).copy()
     series = np.abs(kappa) * theta * theta <= SERIES_THRESHOLD
     if series.all():
         out = np.asarray(from_log(kappa, t, theta))
@@ -107,12 +119,20 @@ def _distortion(kappa, t, theta, power):
         out = np.asarray(s(kappa, t * theta))
         np.divide(out, s(kappa, theta), out=out, where=~series)
         if power != 1.0:
-            # 0/0 at t = 0, which tau replaces by its convention
+            # t * exp(power*log(out/t)) in out's buffer, which avoids real-power
+            # ambiguity for negative N; 0/0 at t = 0, which tau replaces
             with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.asarray(t * _pow_inv(out / t, power))
+                out /= t
+                np.log(out, out=out)
+                out *= power
+                np.exp(out, out=out)
+                np.multiply(t, out, out=out)
         if series.any():
-            at = np.nonzero(np.broadcast_to(series, out.shape))
-            out[at] = from_log(*(np.broadcast_to(a, out.shape)[at]
+            # series spans out's trailing axes: index its columns, not a full-size
+            # mask; contiguous gathers run the loops, NaN signs included, of a flat one
+            cols = np.nonzero(np.broadcast_to(series, out.shape[out.ndim - series.ndim:]))
+            at = (Ellipsis, *cols)
+            out[at] = from_log(*(np.ascontiguousarray(np.broadcast_to(a, out.shape)[at])
                                  for a in (kappa, t, theta)))
     np.copyto(out, np.inf,
               where=(kappa > 0) & (theta * np.sqrt(np.maximum(kappa, 0.0)) >= math.pi))
@@ -153,12 +173,6 @@ def below_segment_limit(lengths, K, N):
             f"pi*sqrt(N/K)={limit!r}; the K<0 inequalities control shorter "
             "segments only")
     return lengths
-
-
-def _pow_inv(x, exponent):
-    # x**exponent for x > 0 via exp(exponent*log x); avoids real-power
-    # ambiguity for the fractional negative exponents used with N < 0.
-    return np.exp(exponent * np.log(x))
 
 
 def tau(K, N, t, theta):

@@ -27,9 +27,10 @@ def gl_nodes(a: float, b: float, n: int, panels: int = 1):
     edges = np.linspace(a, b, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    nodes = half[:, None] * x
+    nodes += mid[:, None]
     weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    return nodes.ravel(), weights
 
 
 @dataclass

@@ -50,6 +50,8 @@ __all__ = [
 _DENSITY_FLOOR = 1e-300
 # how far from 1 a Density1D's mass may be, and how much of it may lie off a space
 MASS_TOL = 1e-8
+# nodes per block of the cdf table's build: each block's slices stay in a 2 MiB L2
+_BLOCK = 2 ** 15
 
 
 def _simpson_cdf(y, h):
@@ -61,26 +63,32 @@ def _simpson_cdf(y, h):
     node count the last interval takes the parabola through the last three
     nodes (eq. (10) of K. V. Cartwright, J. Math. Sci. Math. Educ. 12(2)).
     An even node is the near end of one parabola and the far end of the
-    next, so its end terms are computed once, in one scratch array."""
+    next, so its end terms are computed once.  Blocks of ``_BLOCK`` nodes
+    carry the running sum, so the additions are those of one cumsum."""
     n = len(y)
     e = 2 * ((n - 1) // 2)
-    ends, mids = y[0:e + 1:2], y[1:e:2]
     cdf = np.empty(n)
     cdf[0] = 0.0
-    fwd, back = cdf[1:e:2], cdf[2:e + 1:2]
-    term = 5 * ends
-    term /= 4
-    np.multiply(mids, 2, out=fwd)
-    fwd += term[:-1]
-    np.multiply(mids, 2, out=back)
-    back += term[1:]
-    np.divide(ends, 4, out=term)
-    fwd -= term[1:]
-    back -= term[:-1]
-    cdf[1:e + 1] *= h / 3
+    scratch = np.empty(_BLOCK // 2 + 1)
+    for lo in range(0, e, _BLOCK):
+        hi = min(lo + _BLOCK, e)
+        ends, mids, blk = y[lo:hi + 1:2], y[lo + 1:hi:2], cdf[lo + 1:hi + 1]
+        fwd, back, term = blk[0::2], blk[1::2], scratch[:len(ends)]
+        np.multiply(ends, 5, out=term)
+        term /= 4
+        np.multiply(mids, 2, out=fwd)
+        fwd += term[:-1]
+        np.multiply(mids, 2, out=back)
+        back += term[1:]
+        np.divide(ends, 4, out=term)
+        fwd -= term[1:]
+        back -= term[:-1]
+        blk *= h / 3
+        blk[0] += cdf[lo]
+        np.cumsum(blk, out=blk)
     if n % 2 == 0:
-        cdf[-1] = h / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
-    return np.cumsum(cdf, out=cdf)
+        cdf[-1] = h / 3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4) + cdf[-2]
+    return cdf
 
 
 @dataclass
@@ -117,9 +125,8 @@ class Density1D:
             raise ValueError(f"support {self.support!r} is narrower than its "
                              f"{self.quad_nodes} intervals: nodes must be strictly increasing")
         pv = np.asarray(self.pdf(xs), dtype=float)
-        bad = np.flatnonzero(~np.isfinite(pv))
-        if bad.size:
-            i = bad[0]
+        if not np.isfinite(pv).all():
+            i = np.flatnonzero(~np.isfinite(pv))[0]
             raise ValueError(f"pdf {float(pv[i])!r} is not finite at x={float(xs[i])!r}")
         if np.any(pv < 0):
             raise ValueError("pdf must be nonnegative on its support")
@@ -177,8 +184,15 @@ def gaussian_density(mean: float, sd: float, quad_nodes: int = 8192) -> Density1
     norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
 
     def pdf(x):
-        z = (np.asarray(x, dtype=float) - mean) / sd
-        return norm * np.exp(-0.5 * z * z)
+        # in one array, unwrapped for a scalar x; (z*z)*-0.5 has the bits of (-0.5*z)*z
+        z = np.array(x, dtype=float)
+        z -= mean
+        z /= sd
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z)
+        z *= norm
+        return z[()]
 
     def d_pdf(x):
         z = (np.asarray(x, dtype=float) - mean) / sd
@@ -225,8 +239,11 @@ def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
     # unlike a single Gauss rule of order n
     order = min(n_nodes, 50)
     u, wts = gl_nodes(0.0, 1.0, order, panels=max(1, n_nodes // order))
-    dq = mu0.quantile(u) - mu1.quantile(u)
-    return math.sqrt(max(float(np.sum(wts * dq * dq)), 0.0))
+    dq = mu0.quantile(u)
+    dq -= mu1.quantile(u)
+    wts *= dq
+    wts *= dq
+    return math.sqrt(max(float(np.sum(wts)), 0.0))
 
 
 class GeodesicPath:
@@ -240,7 +257,8 @@ class GeodesicPath:
         self.Tx = mu1.quantile(mu0.cdf(self.x))
         self.rho0 = mu0.pdf(self.x)
         self.rho1 = mu1.pdf(self.Tx)
-        self.dTx = self.rho0 / np.maximum(self.rho1, _DENSITY_FLOOR)
+        floored = np.maximum(self.rho1, _DENSITY_FLOOR)
+        self.dTx = np.divide(self.rho0, floored, out=floored)
 
     def position(self, t):
         return (1.0 - t) * self.x + t * self.Tx
@@ -260,11 +278,14 @@ def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     path = GeodesicPath(mu0, mu1, mu0._xs)
-    ys = path.position(t)
-    jac = path.jacobian_lebesgue(t)
+    ys = np.multiply(t, path.Tx)
+    jac = np.multiply(1.0 - t, path.x)
+    ys += jac
+    np.multiply(t, path.dTx, out=jac)
+    jac += 1.0 - t
     if np.any(jac <= 0):
         raise ValueError("monotonicity violated: nonpositive interpolation Jacobian")
-    vals = path.rho0 / jac
+    vals = np.divide(path.rho0, jac, out=jac)
 
     def pdf(y):
         return np.interp(y, ys, vals, left=0.0, right=0.0)

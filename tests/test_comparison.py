@@ -1,6 +1,7 @@
 """Comparison-function branches, conventions, identities and orderings."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -207,6 +208,79 @@ class TestArrayEqualsScalar:
                 grids = np.broadcast_arrays(*args)
                 want = [fn(*map(float, point)) for point in zip(*(g.ravel() for g in grids))]
                 assert _same_bits(got, np.reshape(want, grids[0].shape))
+
+
+# kappa at 0, at the smallest and a tiny magnitude, either side of the series
+# threshold at theta = 1 and 1e-3, and past pi^2/theta^2 (out of the domain)
+SCALAR_KAPPA = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
+                                SERIES_THRESHOLD, -SERIES_THRESHOLD,
+                                SERIES_THRESHOLD * 1.0000001, 0.999999, 1.000001,
+                                -1.000001, 20.0, -20.0])
+
+
+class TestScalarKappa:
+    """A scalar kappa takes its own path, which gives the bits of the same
+    kappa in a 1-element array."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kappa=st.one_of(SCALAR_KAPPA, KAPPA),
+           thetas=st.lists(st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0]), THETA),
+                           min_size=1, max_size=6),
+           ts=st.lists(st.one_of(st.sampled_from([0.0, 1.0, 5e-324]), T),
+                       min_size=1, max_size=4),
+           N=st.floats(-20.0, -0.05))
+    @example(kappa=4.0, thetas=[0.0, 1e-4, math.pi / 2, 2.0], ts=[0.0, 0.5, 1.0], N=-2.0)
+    def test_scalar_equals_one_element_array(self, kappa, thetas, ts, N):
+        t = np.array(ts)[:, None]
+        theta = np.array(thetas)
+        # pi/sqrt(kappa) is where the kappa > 0 coefficients leave their domain
+        if kappa > 0:
+            theta = np.append(theta, math.pi / math.sqrt(kappa))
+        ends = np.stack((1.0 - t, t))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for fn, args in ((s, (t * theta,)), (c, (t * theta,)), (sigma, (ends, theta)),
+                             (lambda k, tt, th: tau(k, N, tt, th), (ends, theta))):
+                assert _same_bits(fn(kappa, *args), fn(np.array([kappa]), *args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(ts=st.lists(T, min_size=1, max_size=4), thetas=st.lists(THETA, min_size=1, max_size=6),
+           N=st.floats(-20.0, -0.05), zero=st.sampled_from([0.0, -0.0]))
+    def test_zero_kappa_gives_t(self, ts, thetas, N, zero):
+        t, theta = np.array(ts)[:, None], np.array(thetas)
+        want = np.broadcast_to(t, (len(ts), len(thetas)))
+        assert _same_bits(sigma(zero, t, theta), want)
+        assert _same_bits(tau(zero, N, t, theta), want + 0.0)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
+class TestAllocation:
+    """tau on the (2, 33, 2048) grid of check_cd makes its output and little
+    more: K = 0 copies t, and otherwise the power step works in place."""
+
+    def _grid(self):
+        t = np.linspace(0.02, 0.98, 33)[:, None]
+        theta = np.abs(np.random.default_rng(3).normal(0.0, 1.0, 2048))
+        return np.stack((1.0 - t, t)), theta
+
+    def test_zero_curvature_copies_t(self):
+        ends, theta = self._grid()
+        peak, out = _peak_bytes(lambda: tau(0.0, -3.0, ends, theta))
+        assert out.shape == (2, 33, 2048)
+        assert peak <= 1.5 * out.nbytes
+
+    def test_power_step_in_place(self):
+        ends, theta = self._grid()
+        peak, out = _peak_bytes(lambda: tau(0.6, -3.0, ends, theta))
+        # 2.3 outputs in place; a power step with temporaries peaks at 3.1
+        assert peak < 3.0 * out.nbytes
 
 
 class TestStackedEnds:

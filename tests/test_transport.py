@@ -1,6 +1,7 @@
 """1-D optimal transport, entropies, and the curvature-dimension suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,29 @@ class TestDensity1D:
                 pytest.raises(ValueError, match="not finite"):
             Density1D(support=(0.0, 1.0), pdf=lambda x: 0.5 / np.sqrt(x), normalize=True)
 
+    def test_nan_reported_before_a_negative_value(self):
+        # the finiteness check comes first, wherever the NaN lies
+        from negdimcd import Density1D
+
+        def pdf(x):
+            out = np.ones_like(x)
+            out[10], out[20] = -1.0, np.nan
+            return out
+
+        with pytest.raises(ValueError, match=r"pdf nan is not finite at x=0\.2\b"):
+            Density1D(support=(0.0, 1.0), pdf=pdf, quad_nodes=100)
+
+    def test_table_build_allocates_little_beyond_its_arrays(self):
+        # the nodes, the pdf values and the table, and little more: the pdf
+        # and the Simpson blocks work in place
+        tracemalloc.start()
+        try:
+            mu = gaussian_density(0.3, 1.2, quad_nodes=2**17)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.0 * mu._cdf.nbytes
+
 
 @st.composite
 def _sampled_pdfs(draw):
@@ -118,6 +142,18 @@ class TestSimpsonTable:
     @example(nodes=8192, offset=-5.0, width=10.0, zeros=0.1, log_range=(-300.0, 300.0),
              seed=2)
     @example(nodes=8193, offset=-5.0, width=10.0, zeros=1.0, log_range=(0.0, 0.0), seed=3)
+    # one, two, three and sixteen blocks of _BLOCK nodes with one or two
+    # nodes over: the carried sum and the last interval of an even count
+    @example(nodes=2**15 + 1, offset=0.0, width=1.0, zeros=0.1, log_range=(-300.0, 300.0),
+             seed=6)
+    @example(nodes=2**15 + 2, offset=0.0, width=1.0, zeros=0.1, log_range=(-300.0, 300.0),
+             seed=7)
+    @example(nodes=2**16 + 1, offset=-1.0, width=3.0, zeros=0.0, log_range=(-2.0, 2.0),
+             seed=8)
+    @example(nodes=3 * 2**15 + 2, offset=-1.0, width=3.0, zeros=0.3, log_range=(-5.0, 5.0),
+             seed=9)
+    @example(nodes=2**19 + 2, offset=-8.0, width=16.0, zeros=0.01,
+             log_range=(-300.0, 300.0), seed=10)
     # sorted keeps (0.0, -0.0) in that order, and uniform(0.0, -0.0) raises
     @example(nodes=3, offset=0.0, width=1.0, zeros=0.0, log_range=(0.0, -0.0), seed=0)
     def test_equals_scipy_cumulative_simpson(self, nodes, offset, width, zeros,
