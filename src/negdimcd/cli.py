@@ -31,7 +31,6 @@ import numpy as np
 from . import convexity, geometry, gradflow, transport
 from .comparison import negative_n
 from .expr import compile_expr
-from .functions import ScalarFunction1D
 from .quadrature import QuadratureError
 from .report import CheckReport
 
@@ -212,9 +211,7 @@ def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere
         weight = _get(cfg, section, "weight", required=True)
         return geometry.WeightedLine((lo, hi), compile_expr(weight))
     if kind == "sphere":
-        weight = _get(cfg, section, "weight")
-        psi = compile_expr(weight, var="theta") if weight else ScalarFunction1D.constant(0.0)
-        return geometry.RotSphere(psi)
+        return geometry.RotSphere(compile_expr(_get(cfg, section, "weight") or "0", var="theta"))
     raise ConfigError(f"[{section}] kind={kind!r} not one of "
                       "gaussian|power|lebesgue|line|sphere")
 

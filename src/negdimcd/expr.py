@@ -57,6 +57,8 @@ def _sub(a, b):
 def _mul(a, b):
     if _is(a, 0) or _is(b, 0):
         return _ZERO
+    if isinstance(b, ast.BinOp) and isinstance(b.op, ast.Div) and _is(b.left, 1):
+        return _div(a, b.right)  # a/v, rounded once, for a*(1/v)
     return b if _is(a, 1) else a if _is(b, 1) else ast.BinOp(a, ast.Mult(), b)
 
 
@@ -168,24 +170,17 @@ def _compile(node, var: str, funcs):
 def compile_expr(text: str, var: str = "x") -> ScalarFunction1D:
     """Compile an expression into a ScalarFunction1D with exact derivatives.
 
-    f is compiled at once, so text outside the grammar raises here; f' and
-    f'' are differentiated and compiled on their first call, so a function
-    that is only evaluated never builds its derivative trees.
+    f is compiled first, so text outside the grammar raises before it is
+    differentiated; then f' and f'' are differentiated and compiled, here and
+    once, so that evaluating any of the three builds no tree.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
-    trees, compiled = [tree.body], {0: _compile(tree.body, var, _FUNCS)}
-
-    def evaluator(order: int):
-        def evaluate(value):
-            if order not in compiled:
-                while len(trees) <= order:
-                    trees.append(_diff(trees[-1], var))
-                compiled[order] = _compile(trees[order], var, _DERIV_FUNCS)
-            # scalars as numpy float64, so that they follow array arithmetic
-            return compiled[order](as_float(value))
-        return evaluate
-
-    return ScalarFunction1D(fn=evaluator(0), d1=evaluator(1), d2=evaluator(2), name=text)
+    f = _compile(tree.body, var, _FUNCS)
+    d1 = _diff(tree.body, var)
+    f1, f2 = _compile(d1, var, _DERIV_FUNCS), _compile(_diff(d1, var), var, _DERIV_FUNCS)
+    # scalars as numpy float64, so that they follow array arithmetic
+    return ScalarFunction1D(fn=lambda x: f(as_float(x)), d1=lambda x: f1(as_float(x)),
+                            d2=lambda x: f2(as_float(x)), name=text)

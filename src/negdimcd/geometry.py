@@ -17,7 +17,7 @@ import numpy as np
 
 from .comparison import negative_n
 from .convexity import bakry_emery, interior_grid
-from .functions import ScalarFunction1D, as_float
+from .functions import ScalarFunction1D
 from .report import CheckReport
 
 __all__ = [
@@ -84,32 +84,27 @@ def lebesgue_line(lo: float, hi: float) -> WeightedLine:
 def gaussian_line(curv: float = 1.0, radius: float = 8.0) -> WeightedLine:
     """Line whose reference measure is the centered normal with variance 1/curv.
 
-    psi(x) = curv*x^2/2 + log(sqrt(2*pi/curv)), truncated to |x| <= radius
-    standard deviations; the lost tail mass is below 1e-14 at the default.
+    psi = curv*x**2/2 + log(sqrt(2*pi/curv)) as an expression tree, truncated to
+    |x| <= radius standard deviations; the lost tail mass is below 1e-14 at the default.
     """
-    if not curv > 0:
-        raise ValueError(f"curv must be positive, got {curv!r}")
+    if not 0 < curv < math.inf:
+        raise ValueError(f"curv must be positive and finite, got {curv!r}")
     sd = 1.0 / math.sqrt(curv)
     c0 = 0.5 * math.log(2.0 * math.pi / curv)
-    psi = ScalarFunction1D(
-        fn=lambda x: curv * np.square(as_float(x)) / 2.0 + c0,
-        d1=lambda x: curv * as_float(x),
-        d2=lambda x: curv * np.ones_like(as_float(x)),
-        name="gaussian")
+    # imported here: importing negdimcd itself does not load the compiler
+    from .expr import compile_expr
+    psi = compile_expr(f"{float(curv)!r}*x**2/2 + {c0!r}")
     return WeightedLine((-radius * sd, radius * sd), psi)
 
 
 def power_weight_line(exponent: float, lo: float, hi: float) -> WeightedLine:
-    """Half-line fragment with weight x**exponent, i.e. psi = -exponent*log(x)."""
-    if not 0 < lo < hi:
-        raise ValueError(f"need 0 < lo < hi for a power weight, got lo={lo!r}, hi={hi!r}")
-    a = float(exponent)
-    psi = ScalarFunction1D(
-        fn=lambda x: -a * np.log(as_float(x)),
-        d1=lambda x: -a / as_float(x),
-        d2=lambda x: a / np.square(as_float(x)),
-        name=f"power({a})")
-    return WeightedLine((lo, hi), psi)
+    """Half-line fragment with weight x**exponent: psi = -exponent*log(x), an
+    expression tree."""
+    if not (math.isfinite(exponent) and 0 < lo < hi):
+        raise ValueError(f"need a finite exponent and 0 < lo < hi for a power weight, "
+                         f"got exponent={exponent!r}, lo={lo!r}, hi={hi!r}")
+    from .expr import compile_expr
+    return WeightedLine((lo, hi), compile_expr(f"{-float(exponent)!r}*log(x)"))
 
 
 def _grad_correction(g: np.ndarray, denom: float) -> np.ndarray:

@@ -179,8 +179,8 @@ class Density1D:
 def gaussian_density(mean: float, sd: float, quad_nodes: int = 8192) -> Density1D:
     """Normal density truncated at 8 standard deviations (tail mass below
     1e-14, within the exact-mass tolerance)."""
-    if sd <= 0:
-        raise ValueError(f"sd must be positive, got {sd!r}")
+    if not (math.isfinite(mean) and 0 < sd < math.inf):
+        raise ValueError(f"need a finite mean and a finite sd > 0, got mean={mean!r}, sd={sd!r}")
     norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
 
     def pdf(x):
@@ -427,8 +427,8 @@ def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
     if mode not in ("BM", "BMstar"):
         raise ValueError("mode must be 'BM' or 'BMstar'")
     for name, (lo, hi) in (("A0", A0), ("A1", A1)):
-        if not lo < hi:
-            raise ValueError(f"{name} {(lo, hi)!r} is empty: need lo < hi")
+        if not -math.inf < lo < hi < math.inf:
+            raise ValueError(f"{name} {(lo, hi)!r} is not a finite interval lo < hi")
     a0, b0 = A0
     a1, b1 = A1
     at = ((1.0 - t) * a0 + t * a1, (1.0 - t) * b0 + t * b1)

@@ -784,20 +784,34 @@ checks = entropic
 
     @pytest.mark.parametrize("name, edit, message", [
         ("transport-model-weight", ("A0 = 1 2", "A0 = 2 1"),
-         "A0 (2.0, 1.0) is empty: need lo < hi"),
+         "A0 (2.0, 1.0) is not a finite interval lo < hi"),
+        ("transport-model-weight", ("A0 = 1 2", "A0 = -inf 0"),
+         "A0 (-inf, 0.0) is not a finite interval lo < hi"),
         ("transport-gaussian", ("mean = 1.0\nsd = 1.0", "mean = 1.0\nsd = 0"),
-         "[mu0] sd must be positive, got 0.0"),
+         "[mu0] need a finite mean and a finite sd > 0, got mean=1.0, sd=0.0"),
+        ("transport-gaussian", ("mean = 1.0\nsd = 1.0", "mean = 1.0\nsd = inf"),
+         "[mu0] need a finite mean and a finite sd > 0, got mean=1.0, sd=inf"),
         ("transport-gaussian", ("mean = 0.0\nsd = 1.0", "mean = 0.0\nsd = -1"),
-         "[mu1] sd must be positive, got -1.0"),
+         "[mu1] need a finite mean and a finite sd > 0, got mean=0.0, sd=-1.0"),
+        ("transport-gaussian", ("mean = 0.0\nsd = 1.0", "mean = nan\nsd = 1.0"),
+         "[mu1] need a finite mean and a finite sd > 0, got mean=nan, sd=1.0"),
         ("transport-gaussian", ("kind = gaussian\nmean = 1.0\nsd = 1.0",
                                 "kind = uniform\ninterval = 2 1"),
          "[mu0] need a < b, got a=2.0, b=1.0"),
         ("transport-model-weight", ("interval = 0.5 8", "interval = -1 2"),
-         "[space] need 0 < lo < hi for a power weight, got lo=-1.0, hi=2.0"),
+         "[space] need a finite exponent and 0 < lo < hi for a power weight, "
+         "got exponent=-3.0, lo=-1.0, hi=2.0"),
+        ("transport-model-weight", ("exponent = -3", "exponent = nan"),
+         "[space] need a finite exponent and 0 < lo < hi for a power weight, "
+         "got exponent=nan, lo=0.5, hi=8.0"),
         ("transport-gaussian", ("[space]\nkind = gaussian",
                                 "[space]\nkind = gaussian\ncurv = -1"),
-         "[space] curv must be positive, got -1.0"),
-    ], ids=["empty-A0", "zero-sd", "mu1-sd", "uniform", "power", "curv"])
+         "[space] curv must be positive and finite, got -1.0"),
+        ("transport-gaussian", ("[space]\nkind = gaussian",
+                                "[space]\nkind = gaussian\ncurv = inf"),
+         "[space] curv must be positive and finite, got inf"),
+    ], ids=["empty-A0", "infinite-A0", "zero-sd", "infinite-sd", "mu1-sd", "nan-mean",
+            "uniform", "power", "nan-exponent", "curv", "infinite-curv"])
     def test_bad_measure_names_its_value(self, tmp_path, capsys, name, edit, message):
         text = shipped(name)
         assert edit[0] in text

@@ -183,17 +183,32 @@ class TestDerivatives:
         assert all(math.isnan(v) for v in values)
         assert all(np.isnan(a).all() for a in arrays)
 
-    def test_derivatives_are_built_on_first_use(self, monkeypatch):
+    def test_evaluation_builds_and_compiles_nothing(self, monkeypatch):
         calls = []
-        original = expr_module._diff
-        monkeypatch.setattr(expr_module, "_diff",
-                            lambda node, var: calls.append(node) or original(node, var))
+        for name in ("_diff", "_compile"):
+            original = getattr(expr_module, name)
+            monkeypatch.setattr(expr_module, name, lambda *args, original=original, name=name:
+                                calls.append(name) or original(*args))
         f = compile_expr("sin(x)*x")
-        assert f(0.5) == pytest.approx(math.sin(0.5) * 0.5) and not calls
+        built = len(calls)
+        assert built > 0 and "_diff" in calls
+        assert f(0.5) == pytest.approx(math.sin(0.5) * 0.5)
         assert f.deriv(0.5) == pytest.approx(math.cos(0.5) * 0.5 + math.sin(0.5))
-        first = len(calls)
-        f.deriv(0.7)
-        assert first > 0 and len(calls) == first
+        assert f.deriv2(np.array([0.5]))[0] == pytest.approx(
+            2 * math.cos(0.5) - 0.5 * math.sin(0.5))
+        assert len(calls) == built
+        # the grammar is checked before the tree is differentiated
+        calls.clear()
+        with pytest.raises(ValueError, match=r"function not in the grammar: Name\(id='foo'"):
+            compile_expr("foo(x)")
+        assert "_diff" not in calls
+
+    @pytest.mark.parametrize("x", [0.3, 2.5, 10.0, 1e-200, 3e200])
+    def test_constant_times_log_has_one_rounding(self, x):
+        # c*log(x) differentiates to c/x, not c*(1/x), which rounds twice:
+        # 3*(1/x) is one ulp off 3/x at x = 2.5 and 10
+        assert compile_expr("3*log(x)").deriv(x) == 3 / x
+        assert compile_expr("3*log(x)").deriv(np.array([x]))[0] == 3 / x
 
 
 class TestConstants:

@@ -6,6 +6,8 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from negdimcd import (
@@ -41,6 +43,40 @@ def from_sympy(expr, var):
         d1=sympy.lambdify(var, d1, "numpy"),
         d2=sympy.lambdify(var, d2, "numpy"),
         name=str(expr))
+
+
+def assert_same_bits(psi, x, oracle):
+    """psi, psi' and psi'' at the array x and at each of its points as
+    floats have the bits of the oracle's three arrays."""
+    for method, want in zip((psi, psi.deriv, psi.deriv2), oracle):
+        assert method(x).tobytes() == want.tobytes()
+        assert [np.float64(method(float(v))).tobytes() for v in x] == [
+            w.tobytes() for w in want]
+
+
+class TestBuiltInLines:
+    """The Gaussian and power lines' psi is an expression tree; the oracle is
+    the closed form each carried before, bit for bit."""
+
+    # no |x| in (0, 1e-290): where curv*x is subnormal, the tree's psi' =
+    # curv*(2*x)/2 rounds twice
+    @settings(max_examples=300, deadline=None)
+    @given(curv=st.floats(1e-3, 1e3),
+           x=st.lists(st.floats(-1e3, 1e3).filter(lambda v: v == 0 or abs(v) > 1e-290),
+                      min_size=1, max_size=16).map(np.array))
+    def test_gaussian_tree_is_its_closed_form(self, curv, x):
+        c0 = 0.5 * math.log(2.0 * math.pi / curv)
+        assert_same_bits(gaussian_line(curv).psi, x,
+                         (curv * np.square(x) / 2.0 + c0, curv * x, curv * np.ones_like(x)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.floats(-20.0, 20.0),
+           x=st.lists(st.floats(1e-6, 1e6), min_size=1, max_size=16).map(np.array))
+    def test_power_tree_is_its_closed_form(self, a, x):
+        # one sign of zero moves: the tree's psi'' = 0/x - (-a)/x**2 reads +0.0
+        # where a/x**2 read -0.0 (at a = -0.0, or underflowing)
+        assert_same_bits(power_weight_line(a, 0.5, 8.0).psi, x,
+                         (-a * np.log(x), -a / x, a / np.square(x) + 0.0))
 
 
 class TestRicci:

@@ -554,10 +554,14 @@ class TestBrunnMinkowski:
         rep = brunn_minkowski(space_alt, (1.0, 2.0), (2.0, 4.0), 0.5, 0.0, -2.0)
         assert rep.worst_margin < -1e-3
 
-    def test_empty_interval_rejected(self):
+    @pytest.mark.parametrize("A0", [(0.5, 0.5), (-math.inf, 0.0), (0.0, math.inf),
+                                    (math.nan, 1.0)])
+    def test_empty_or_infinite_interval_rejected(self, A0):
         space = lebesgue_line(0.0, 1.0)
-        with pytest.raises(ValueError, match="empty"):
-            brunn_minkowski(space, (0.5, 0.5), (0.0, 1.0), 0.5, 0.0, -2.0)
+        with pytest.raises(ValueError, match=r"A0 .* is not a finite interval lo < hi"):
+            brunn_minkowski(space, A0, (0.0, 1.0), 0.5, 0.0, -2.0)
+        with pytest.raises(ValueError, match=r"A1 .* is not a finite interval lo < hi"):
+            brunn_minkowski(space, (0.0, 1.0), A0, 0.5, 0.0, -2.0)
 
 
 class TestEntropicCD:
