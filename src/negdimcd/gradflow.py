@@ -4,9 +4,11 @@ A curve solves xi' = -f'(xi) by a classical fixed-step fourth-order
 integrator (determinism and simple error accounting; no adaptivity).  It
 stops, with a note naming t and the cause, before the first step that is not
 a descent step: a gradient above ``GRAD_CAP``, a step beyond RK4's stability
-limit, or a stage point or endpoint outside the domain.  The checkers verify
-the energy dissipation identity, the dimensional evolution variational
-inequality in differential and integrated form, the regularizing
+limit, or a stage point or endpoint outside the domain.  The stability test
+takes the start points of up to 256 steps in one f'' call, and steps that
+raise a floating-point error are replayed with the test at each step.  The
+checkers verify the energy dissipation identity, the dimensional evolution
+variational inequality in differential and integrated form, the regularizing
 and continuity estimates it implies, and the expansion bound for Lipschitz
 potentials.
 
@@ -44,6 +46,8 @@ __all__ = [
 GRAD_CAP = 1e8      # |f'| above which a curve stops
 RK4_LIMIT = 2.785   # RK4's real-axis stability limit for step*|f''|
 MAX_STEPS = 10**6   # RK4 steps one curve may take
+_CHUNK = 256        # RK4 steps whose start points share one f'' call
+_UNSTABLE = "step*|f''| = {!r} is beyond RK4's stability limit " + repr(RK4_LIMIT)
 
 
 @dataclass
@@ -77,30 +81,35 @@ class GradientCurve:
         return i
 
 
-def _rk4_step(f: ScalarFunction1D, x: float, h: float, lo: float, hi: float):
-    """One RK4 step of xi' = -f'(xi) from x: (endpoint, "") when it is a
-    descent step, else (x, the cause)."""
-    k1 = -float(f.deriv(x))
-    z = h * abs(float(f.deriv2(x)))
-    if not abs(k1) <= GRAD_CAP:
-        return x, f"|f'| = {abs(k1)!r} is above the gradient cap {GRAD_CAP!r}"
-    if not z <= RK4_LIMIT:
-        return x, f"step*|f''| = {z!r} is beyond RK4's stability limit {RK4_LIMIT!r}"
-    # each stage evaluates f' only at a stage point inside the domain
-    y = x + 0.5 * h * k1
-    if lo <= y <= hi and math.isfinite(y):
-        k2 = -float(f.deriv(y))
-        y = x + 0.5 * h * k2
+def _rk4_steps(f: ScalarFunction1D, x: float, h: float, m: int, lo: float, hi: float,
+               checked: bool):
+    """Up to m RK4 steps of xi' = -f'(xi) from x, unchecked ones without the
+    stability test: the points from x on, one a step, and the stop's cause or ""."""
+    xs = [x]
+    for _ in range(m):
+        k1 = -float(f.deriv(x))
+        z = h * abs(float(f.deriv2(x))) if checked else 0.0
+        if not abs(k1) <= GRAD_CAP:
+            return xs, f"|f'| = {abs(k1)!r} is above the gradient cap {GRAD_CAP!r}"
+        if not z <= RK4_LIMIT:
+            return xs, _UNSTABLE.format(z)
+        # each stage evaluates f' only at a stage point inside the domain
+        y = x + 0.5 * h * k1
         if lo <= y <= hi and math.isfinite(y):
-            k3 = -float(f.deriv(y))
-            y = x + h * k3
+            k2 = -float(f.deriv(y))
+            y = x + 0.5 * h * k2
             if lo <= y <= hi and math.isfinite(y):
-                k4 = -float(f.deriv(y))
-                y = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k3 = -float(f.deriv(y))
+                y = x + h * k3
                 if lo <= y <= hi and math.isfinite(y):
-                    return y, ""
-                return x, f"the endpoint {y!r} is outside the domain ({lo!r}, {hi!r})"
-    return x, f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
+                    k4 = -float(f.deriv(y))
+                    y = x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                    if lo <= y <= hi and math.isfinite(y):
+                        xs.append(x := y)
+                        continue
+                    return xs, f"the endpoint {y!r} is outside the domain ({lo!r}, {hi!r})"
+        return xs, f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
+    return xs, ""
 
 
 def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
@@ -111,8 +120,15 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
     cannot take as a descent step, and the note names t and the cause:
     |f'(x)| above ``GRAD_CAP``, step*|f''(x)| beyond RK4's real-axis
     stability limit, or a stage point or the endpoint outside the domain.
-    A stop before the first step raises ValueError with that note, and so
-    does a horizon/step above ``MAX_STEPS``.
+    One step's causes rank in that order.  A stop before the first step
+    raises ValueError with that note, and so do an x0 that is not a finite
+    point of the domain and a horizon/step above ``MAX_STEPS``.
+
+    The stability test takes the start points of up to ``_CHUNK`` steps in
+    one f'' call; it relies on f'' of an array being f'' of each element, bit
+    for bit.  Those steps run with numpy's errors raised, save the ignored
+    ones; if they raise, they are replayed with the test at each step.  So
+    points, notes, errors and warnings are those of the step-by-step test.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step!r}")
@@ -125,17 +141,31 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
         raise ValueError(f"horizon/step = {horizon!r}/{step!r} is more than "
                          f"{MAX_STEPS} RK4 steps")
     lo, hi = (-math.inf, math.inf) if domain is None else domain
-    xs = [float(x0)]
-    note = ""
-    for i in range(n_steps):
-        x, cause = _rk4_step(f, xs[-1], step, lo, hi)
+    x0 = float(x0)
+    if not (lo <= x0 <= hi and math.isfinite(x0)):
+        raise ValueError(f"x0 must be finite and in the domain ({lo!r}, {hi!r}), got {x0!r}")
+    strict = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
+    xs, note = [x0], ""
+    for i in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - i)
+        try:
+            with np.errstate(**strict):
+                pts, cause = _rk4_steps(f, xs[-1], step, m, lo, hi, False)
+                # f'' at a stopped step's start too; only the cap's cause beats its test
+                z = step * np.abs(f.deriv2(np.array(pts if cause else pts[:-1])))
+        except Exception:  # the checked steps raise it again, or never meet it
+            pts, cause = _rk4_steps(f, xs[-1], step, m, lo, hi, True)
+        else:
+            over = np.flatnonzero(~(z[:len(z) - cause.startswith("|f'|")] <= RK4_LIMIT))
+            if over.size:
+                pts, cause = pts[:over[0] + 1], _UNSTABLE.format(float(z[over[0]]))
+        xs.extend(pts[1:])
         if cause:
-            note = (f"curve stops before the step of {step!r} from t={i * step!r}, "
-                    f"x={x!r}: {cause}")
-            if i == 0:
+            note = (f"curve stops before the step of {step!r} from "
+                    f"t={(i + len(pts) - 1) * step!r}, x={xs[-1]!r}: {cause}")
+            if len(xs) == 1:
                 raise ValueError(note)
             break
-        xs.append(x)
     return GradientCurve(points=np.asarray(xs, dtype=float), step=step, note=note)
 
 

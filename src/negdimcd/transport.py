@@ -116,8 +116,8 @@ class Density1D:
 
     def __post_init__(self):
         a, b = self.support
-        if not a < b:
-            raise ValueError("support must be a nonempty interval")
+        if not -math.inf < a < b < math.inf:
+            raise ValueError(f"support {self.support!r} is not a finite interval lo < hi")
         if self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes!r}")
         xs = np.linspace(a, b, self.quad_nodes + 1)

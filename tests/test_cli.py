@@ -321,6 +321,13 @@ class TestFlowDomain:
         assert capsys.readouterr().err == (
             "error: [params] x0 4.0 outside the [potential] domain (0.5, 3.0)\n")
 
+    def test_nan_start_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG.replace("x0 = 1", "x0 = nan"))
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: [params] x0 nan outside the [potential] domain (0.5, 3.0)\n")
+        assert not (tmp_path / "o").exists()
+
 
 CERTIFY_CFG = """
 [certify]
@@ -798,6 +805,10 @@ checks = entropic
         ("transport-gaussian", ("kind = gaussian\nmean = 1.0\nsd = 1.0",
                                 "kind = uniform\ninterval = 2 1"),
          "[mu0] need a < b, got a=2.0, b=1.0"),
+        # an infinite end read "narrower than its 2048 intervals"
+        ("transport-gaussian", ("kind = gaussian\nmean = 0.0\nsd = 1.0",
+                                "kind = uniform\ninterval = 1 inf"),
+         "[mu1] support (1.0, inf) is not a finite interval lo < hi"),
         ("transport-model-weight", ("interval = 0.5 8", "interval = -1 2"),
          "[space] need a finite exponent and 0 < lo < hi for a power weight, "
          "got exponent=-3.0, lo=-1.0, hi=2.0"),
@@ -811,7 +822,7 @@ checks = entropic
                                 "[space]\nkind = gaussian\ncurv = inf"),
          "[space] curv must be positive and finite, got inf"),
     ], ids=["empty-A0", "infinite-A0", "zero-sd", "infinite-sd", "mu1-sd", "nan-mean",
-            "uniform", "power", "nan-exponent", "curv", "infinite-curv"])
+            "uniform", "infinite-uniform", "power", "nan-exponent", "curv", "infinite-curv"])
     def test_bad_measure_names_its_value(self, tmp_path, capsys, name, edit, message):
         text = shipped(name)
         assert edit[0] in text
@@ -1259,6 +1270,32 @@ checks = entropic
         proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert proc.stderr == "error: [mu0] pdf inf is not finite at x=0.0\n"
+
+    def test_unbounded_support_is_an_error_line(self, tmp_path):
+        # read "pdf nan is not finite at x=nan"
+        cfg = write_cfg(tmp_path / "s.cfg", """
+[run]
+suite = transport
+
+[space]
+kind = gaussian
+
+[mu0]
+kind = expr
+expr = exp(-x**2)
+support = -inf 5
+
+[mu1]
+kind = gaussian
+
+[params]
+K = 1
+N = -2
+checks = entropic
+""")
+        proc = run_cli("run", cfg, "--out-dir", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: [mu0] support (-inf, 5.0) is not a finite interval lo < hi\n"
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         import os

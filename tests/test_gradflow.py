@@ -1,9 +1,13 @@
 """Integrator oracles and the gradient-flow inequality checkers."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from negdimcd import (
@@ -25,9 +29,11 @@ from negdimcd import (
 )
 
 from negdimcd.expr import compile_expr
+from negdimcd.gradflow import GRAD_CAP, RK4_LIMIT
 from negdimcd.quadrature import integrate
 
 from conftest import linear, quadratic
+from test_expr import expressions
 
 EVI_LATTICE_N = (-1.0, -2.0, -10.0)
 EVI_LATTICE_Z = (-1.0, 0.0, 2.0)
@@ -94,12 +100,15 @@ class TestIntegrator:
 
 
 def counting(f: ScalarFunction1D):
-    """f with d1 and d2 that count their calls in the returned dict."""
-    calls = {"d1": 0, "d2": 0}
+    """f with d1 and d2 that count their calls, and the points d2 sees, in
+    the returned dict."""
+    calls = {"d1": 0, "d2": 0, "d2 points": 0}
 
     def counted(name, g):
         def call(x):
             calls[name] += 1
+            if name == "d2":
+                calls["d2 points"] += np.size(x)
             return g(x)
         return call
 
@@ -131,10 +140,181 @@ class TestStep:
         curve = integrate_flow(counted, x0, 1.0, step)
         n = len(curve) - 1
         assert curve.note == "" and n == round(1.0 / step)
-        # four stages of f' and one f'' for the stability test, per step
-        assert calls == {"d1": 4 * n, "d2": n}
+        # four stages of f' per step; f'' at each step's start, 256 starts a call
+        assert calls == {"d1": 4 * n, "d2": math.ceil(n / 256), "d2 points": n}
         want = plain_rk4(d1 or f.deriv, x0, step, n)
         assert curve.points.tobytes() == np.array(want).tobytes()
+
+
+def checked_loop(f: ScalarFunction1D, x0: float, horizon: float, step: float,
+                 domain=None):
+    """The flow as a loop that makes the stability test at every step:
+    (points, note), or the ValueError of a stop before the first step."""
+    lo, hi = (-math.inf, math.inf) if domain is None else domain
+    xs = [x0]
+    for i in range(round(horizon / step)):
+        x, cause = xs[-1], ""
+        k = [-float(f.deriv(x))]
+        z = step * abs(float(f.deriv2(x)))
+        if not abs(k[0]) <= GRAD_CAP:
+            cause = f"|f'| = {abs(k[0])!r} is above the gradient cap {GRAD_CAP!r}"
+        elif not z <= RK4_LIMIT:
+            cause = f"step*|f''| = {z!r} is beyond RK4's stability limit {RK4_LIMIT!r}"
+        else:
+            for c in (0.5, 0.5, 1.0):
+                y = x + c * step * k[-1]
+                if not (lo <= y <= hi and math.isfinite(y)):
+                    cause = f"a stage point {y!r} is outside the domain ({lo!r}, {hi!r})"
+                    break
+                k.append(-float(f.deriv(y)))
+            else:
+                y = x + step / 6.0 * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3])
+                if not (lo <= y <= hi and math.isfinite(y)):
+                    cause = f"the endpoint {y!r} is outside the domain ({lo!r}, {hi!r})"
+        if cause:
+            note = f"curve stops before the step of {step!r} from t={i * step!r}, x={x!r}: {cause}"
+            if i == 0:
+                raise ValueError(note)
+            return xs, note
+        xs.append(y)
+    return xs, ""
+
+
+def outcome(integrate_curve, *args):
+    """(points, note, error, warnings) of integrate_curve(*args), every
+    warning recorded in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = integrate_curve(*args)
+        except ValueError as exc:
+            out, error = None, str(exc)
+        else:
+            error = None
+    if isinstance(out, GradientCurve):
+        out = (out.points, out.note)
+    points, note = (None, None) if out is None else (np.array(out[0]).tobytes(), out[1])
+    return points, note, error, [(w.category, str(w.message)) for w in caught]
+
+
+H = 2.0 ** -6   # the step of the stops below
+
+
+def stop_at(cause: str, k: int):
+    """A flow xi' = 1 from 0 that `cause` stops at step k, and its domain.
+
+    The start points are those of plain RK4 on xi' = 1; a threshold a
+    quarter step before or after the k-th switches f', f'' or the domain.
+    """
+    p = plain_rk4(lambda x: -1.0, 0.0, H, k)[k]
+    before, after = p - H / 4, p + H / 4
+    d1, d2 = (lambda x: -1.0), (lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+    domain = None
+    if cause.startswith("cap"):
+        # the last stage of step k - 1 sees the steep f' and throws the next
+        # start far: |f'| = 1e9 there
+        d1 = lambda x: -1.0 if x < before else -1e9
+    if cause.endswith("stability"):
+        d2 = lambda x: np.where(np.asarray(x) < before, 0.0, 1e6)
+    if cause == "stability-nan":
+        # f'' is NaN past the threshold, and numpy warns of it
+        d2 = lambda x: 0.0 * np.sqrt(before - np.asarray(x))
+    if cause.startswith("stage"):
+        domain = (-1.0, after)
+    if cause.startswith("endpoint"):
+        # every stage of step k is finite, and their sum overflows
+        d1 = lambda x: -1.0 if x < after else -1e308
+    return ScalarFunction1D(fn=lambda x: -x, d1=d1, d2=d2), domain
+
+
+class TestBatchedStability:
+    """One f'' call tests 256 steps; the curve is the checked loop's."""
+
+    @pytest.mark.parametrize("k", [0, 255, 256, 257])
+    @pytest.mark.parametrize("cause, text", [
+        ("cap", "is above the gradient cap"),
+        ("stability", "step*|f''| = 15625.0 is beyond"),
+        ("stability-nan", "step*|f''| = nan is beyond"),
+        ("stage", "a stage point"),
+        ("endpoint", "the endpoint inf is outside the domain (-inf, inf)"),
+        # the cap's cause beats the stability test of the same step, and that
+        # test beats a stage or endpoint cause
+        ("cap-and-stability", "|f'| = 1000000000.0 is above the gradient cap"),
+        ("stage-and-stability", "step*|f''| = 15625.0 is beyond"),
+        ("endpoint-and-stability", "step*|f''| = 15625.0 is beyond"),
+    ])
+    def test_stop_is_the_checked_loops(self, cause, text, k):
+        f, domain = stop_at(cause, k)
+        want = outcome(checked_loop, f, 0.0, 400 * H, H, domain)
+        assert outcome(integrate_flow, f, 0.0, 400 * H, H, domain) == want
+        message = want[2] if k == 0 else want[1]
+        assert message.startswith(f"curve stops before the step of {H!r} from t={k * H!r}, ")
+        assert text in message
+        assert len(want[3]) == (cause == "stability-nan")
+
+    @pytest.mark.parametrize("errors", ["warn", "ignore", "raise"])
+    def test_steps_past_an_unstable_one_leave_no_trace(self, errors):
+        # unchecked, the steps after t = 1.0 overflow exp before the batch's
+        # f'' call; the batch is replayed step by step and nothing warns
+        f = compile_expr("-exp(x)")
+        with np.errstate(all=errors):
+            want = outcome(checked_loop, f, 0.0, 1.2, 0.01)
+            assert outcome(integrate_flow, f, 0.0, 1.2, 0.01) == want
+        assert want[1] == ("curve stops before the step of 0.01 from t=1.0, "
+                           "x=7.7117091051180955: step*|f''| = 22.34357748983914 "
+                           "is beyond RK4's stability limit 2.785")
+        assert want[3] == []
+
+    @pytest.mark.parametrize("x0, domain", [
+        (math.nan, None), (math.inf, None), (-math.inf, (0.5, 3.0)),
+        (-1.0, (0.5, 3.0)), (3.5, (0.5, 3.0)), (math.nan, (0.5, 3.0)),
+    ])
+    def test_start_outside_the_domain_is_rejected(self, x0, domain):
+        # x0 = nan read "|f'| = nan is above the gradient cap", and x0 = -1
+        # "a stage point -0.995 is outside the domain"
+        lo, hi = domain or (-math.inf, math.inf)
+        message = f"x0 must be finite and in the domain ({lo!r}, {hi!r}), got {x0!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            integrate_flow(compile_expr("log(x)"), x0, 1.0, 1e-2, domain)
+
+    def test_start_on_the_domain_edge_is_a_start(self):
+        curve = integrate_flow(compile_expr("-x"), 0.5, 0.25, 0.25, domain=(0.0, 0.75))
+        assert curve.points.tolist() == [0.5, 0.75]
+
+
+def same_bits(a, b) -> bool:
+    """a and b hold the same floats bit for bit, any NaN matching any NaN."""
+    nan = np.isnan(b)
+    return bool((np.isnan(a) == nan).all()) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+class TestArraySecondDerivative:
+    """The batched stability test relies on f'' of an array being f'' of
+    each element as a float, bit for bit."""
+
+    @staticmethod
+    def elementwise(f, xs):
+        with np.errstate(all="ignore"):
+            array = np.asarray(f.deriv2(np.array(xs)), dtype=float)
+            each = np.array([float(f.deriv2(float(x))) for x in xs])
+        return array, each
+
+    @settings(max_examples=300, deadline=None)
+    @given(expressions, st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=40))
+    def test_expressions(self, expression, xs):
+        array, each = self.elementwise(compile_expr(expression[0]), xs)
+        assert same_bits(array, each), (expression[0], xs)
+
+    @pytest.mark.parametrize("kind, K", [("a", 1.0), ("b", 1.0), ("c", 0.0), ("d", -1.0)])
+    @settings(max_examples=50, deadline=None)
+    @given(N=st.sampled_from([-0.5, -2.0, -10.0]),
+           u=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40))
+    def test_families(self, kind, K, N, u):
+        f, (lo, hi) = example_function(kind, K, N)
+        # points of the family's domain: on (0, inf), (-inf, inf) or (-L, L)
+        xs = [abs(v) * 5.0 if lo == 0.0 else v * min(hi, 5.0) for v in u]
+        array, each = self.elementwise(f, xs)
+        assert same_bits(array, each), (kind, N, xs)
 
 
 class TestGridTimes:

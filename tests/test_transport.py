@@ -1,6 +1,7 @@
 """1-D optimal transport, entropies, and the curvature-dimension suite."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -195,6 +196,15 @@ class TestSimpsonTable:
         with pytest.raises(ValueError, match=f"quad_nodes must be at least 2, got {quad_nodes}"):
             Density1D(support=(0.0, 1.0), pdf=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                       quad_nodes=quad_nodes)
+
+    @pytest.mark.parametrize("support", [(1.0, math.inf), (-math.inf, 5.0),
+                                         (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_support_that_is_not_a_finite_interval_rejected(self, support):
+        # an infinite end read "narrower than its intervals", or a NaN pdf at x=nan
+        from negdimcd import Density1D
+        message = f"support {support!r} is not a finite interval lo < hi"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Density1D(support=support, pdf=lambda x: np.exp(-np.asarray(x, dtype=float) ** 2))
 
     def test_support_narrower_than_its_nodes_rejected(self):
         # linspace repeats nodes here; a 0 interval would divide by zero
