@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from . import convexity, geometry, gradflow, transport
-from .comparison import negative_n
+from .comparison import finite_interval, negative_n
 from .expr import compile_expr
 from .quadrature import QuadratureError
 from .report import CheckReport
@@ -187,9 +187,7 @@ def _function_from(cfg, section: str, K: float, N: float):
         raise ConfigError(f"[{section}] expr functions need an explicit domain")
     else:
         f = compile_expr(expr)
-    if not -math.inf < window[0] < window[1] < math.inf:
-        raise ValueError(f"domain {window} is not a finite interval lo < hi")
-    return f, window
+    return f, finite_interval(window, "domain")
 
 
 @_naming_section
@@ -284,8 +282,6 @@ def run_flow(cfg, seed: int, tol: dict) -> list[list[str]]:
     N = _params_n(cfg)
     f, domain = _function_from(cfg, "potential", K, N)
     x0 = _get(cfg, "params", "x0", 1.0, conv=float)
-    if not domain[0] <= x0 <= domain[1]:
-        raise ConfigError(f"[params] x0 {x0!r} outside the [potential] domain {domain}")
     step = _get(cfg, "params", "step", 1e-3, conv=float)
     horizon = _get(cfg, "params", "horizon", 2.0, conv=float)
     zs = _get(cfg, "params", "z", [0.0], conv=_floats)

@@ -5,8 +5,9 @@ c(0)=1, c'(0)=0.  The ratios ``sigma`` and ``tau`` are the distortion
 coefficients used throughout the convexity and transport checkers; both obey
 extended-real conventions (``t=0``, ``theta=0``, out-of-domain +inf) so that
 callers never hit 0/0 or domain errors.  All functions accept floats or numpy
-arrays and are pure.  ``negative_n`` and ``below_segment_limit`` state, for every
-module, the range of N and the segment lengths the K < 0 inequalities control.
+arrays and are pure.  ``negative_n``, ``below_segment_limit`` and ``finite_interval``
+state, for every module, the range of N, the segment lengths the K < 0
+inequalities control and the intervals of spaces, measures, windows and integrals.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def _t_and_theta(t, theta):
     """t in [0, 1] and theta >= 0 as float arrays."""
     t = np.asarray(t, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    if ((t < 0) | (t > 1)).any():
+    if not ((t >= 0) & (t <= 1)).all():
         raise ValueError("t must lie in [0, 1]")
     if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
@@ -155,6 +156,14 @@ def negative_n(N):
     if not -math.inf < N < 0:
         raise ValueError(f"N must be negative and finite, got {N!r}")
     return N
+
+
+def finite_interval(interval, name):
+    """The pair ``interval`` when -inf < lo < hi < inf; else ValueError naming ``name``."""
+    lo, hi = interval
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"{name} {interval!r} is not a finite interval lo < hi")
+    return interval
 
 
 def segment_limit(K, N):

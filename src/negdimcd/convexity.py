@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .comparison import below_segment_limit, c, negative_n, s, segment_limit, sigma
+from .comparison import below_segment_limit, c, finite_interval, negative_n, s, segment_limit, sigma
 from .functions import ScalarFunction1D, as_float, exp_transform
 from .report import CheckReport
 
@@ -40,7 +40,7 @@ TOL_ANALYTIC = 1e-9
 
 @dataclass(frozen=True)
 class ConvexityParams:
-    """Curvature bound K, negative effective dimension N, working interval."""
+    """Curvature bound K, negative effective dimension N, finite working interval."""
 
     K: float
     N: float
@@ -48,9 +48,7 @@ class ConvexityParams:
 
     def __post_init__(self):
         negative_n(self.N)
-        lo, hi = self.domain
-        if not lo < hi:
-            raise ValueError("domain must be a nonempty open interval")
+        finite_interval(self.domain, "domain")
 
     def radius_limit(self) -> float:
         """Largest admissible segment length (pi*sqrt(N/K) when K < 0)."""
@@ -60,9 +58,7 @@ class ConvexityParams:
 def interior_grid(domain: Tuple[float, float], n: int,
                   margin: float = 1e-6) -> np.ndarray:
     """Uniform grid clamped a relative ``margin`` inside the open interval."""
-    lo, hi = domain
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("interior_grid needs a bounded interval")
+    lo, hi = finite_interval(domain, "domain")
     pad = (hi - lo) * margin
     return np.linspace(lo + pad, hi - pad, n)
 

@@ -15,7 +15,7 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .comparison import negative_n
+from .comparison import finite_interval, negative_n
 from .convexity import bakry_emery, interior_grid
 from .functions import ScalarFunction1D
 from .report import CheckReport
@@ -54,10 +54,7 @@ class WeightedLine:
     psi: ScalarFunction1D
 
     def __post_init__(self):
-        lo, hi = self.interval
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"line interval {self.interval!r} is not a finite "
-                             "interval lo < hi")
+        finite_interval(self.interval, "line interval")
 
 
 @dataclass(frozen=True)

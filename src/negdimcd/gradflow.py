@@ -112,6 +112,14 @@ def _rk4_steps(f: ScalarFunction1D, x: float, h: float, m: int, lo: float, hi: f
     return xs, ""
 
 
+def _start_point(x0, lo: float, hi: float, name: str) -> float:
+    """x0 as a float when it is a finite point of [lo, hi]; else ValueError naming ``name``."""
+    x0 = float(x0)
+    if not (lo <= x0 <= hi and math.isfinite(x0)):
+        raise ValueError(f"{name} must be finite and in the domain ({lo!r}, {hi!r}), got {x0!r}")
+    return x0
+
+
 def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
                    domain: tuple[float, float] | None = None) -> GradientCurve:
     """Integrate the descent flow of f from x0 over [0, horizon].
@@ -141,9 +149,7 @@ def integrate_flow(f: ScalarFunction1D, x0: float, horizon: float, step: float,
         raise ValueError(f"horizon/step = {horizon!r}/{step!r} is more than "
                          f"{MAX_STEPS} RK4 steps")
     lo, hi = (-math.inf, math.inf) if domain is None else domain
-    x0 = float(x0)
-    if not (lo <= x0 <= hi and math.isfinite(x0)):
-        raise ValueError(f"x0 must be finite and in the domain ({lo!r}, {hi!r}), got {x0!r}")
+    x0 = _start_point(x0, lo, hi, "x0")
     strict = {k: "ignore" if v == "ignore" else "raise" for k, v in np.geterr().items()}
     xs, note = [x0], ""
     for i in range(0, n_steps, _CHUNK):
@@ -335,8 +341,8 @@ def expansion_bound(f: ScalarFunction1D, x: float, y: float, K: float, N: float,
     if t0 < 0 or t1 < 0:
         raise ValueError("times must be nonnegative")
     horizon = max(t0, t1, step)
-    xi = integrate_flow(f, x, horizon, step)
-    zeta = integrate_flow(f, y, horizon, step)
+    xi = integrate_flow(f, _start_point(x, -math.inf, math.inf, "x"), horizon, step)
+    zeta = integrate_flow(f, _start_point(y, -math.inf, math.inf, "y"), horizon, step)
     for curve in (xi, zeta):
         if curve.note:
             raise ValueError(curve.note)

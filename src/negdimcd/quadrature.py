@@ -7,6 +7,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .comparison import finite_interval
+
 __all__ = ["QuadratureError", "QuadratureResult", "gl_nodes", "integrate", "MAX_DOUBLINGS"]
 
 MAX_DOUBLINGS = 6
@@ -50,8 +52,7 @@ def integrate(fn, a: float, b: float, n0: int = 64, panels: int = 4,
     Returns a QuadratureResult; with ``strict`` a failure to converge raises
     QuadratureError instead of returning an unconverged value.
     """
-    if not b > a:
-        raise ValueError("need b > a")
+    finite_interval((a, b), "integration interval")
 
     def rule(panels):
         nodes, weights = gl_nodes(a, b, n0, panels)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .comparison import c as comp_c
 from .comparison import s as comp_s
-from .comparison import below_segment_limit, negative_n, sigma, tau
+from .comparison import below_segment_limit, finite_interval, negative_n, sigma, tau
 from .convexity import interior_grid
 from .geometry import WeightedLine
 from .quadrature import gl_nodes, integrate
@@ -115,9 +115,7 @@ class Density1D:
     _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        a, b = self.support
-        if not -math.inf < a < b < math.inf:
-            raise ValueError(f"support {self.support!r} is not a finite interval lo < hi")
+        a, b = finite_interval(self.support, "support")
         if self.quad_nodes < 2:
             raise ValueError(f"quad_nodes must be at least 2, got {self.quad_nodes!r}")
         xs = np.linspace(a, b, self.quad_nodes + 1)
@@ -204,8 +202,7 @@ def gaussian_density(mean: float, sd: float, quad_nodes: int = 8192) -> Density1
 
 
 def uniform_density(a: float, b: float, quad_nodes: int = 2048) -> Density1D:
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    finite_interval((a, b), "support")
     h = 1.0 / (b - a)
 
     def pdf(x):
@@ -426,11 +423,8 @@ def brunn_minkowski(space: WeightedLine, A0: Tuple[float, float],
     negative_n(N)
     if mode not in ("BM", "BMstar"):
         raise ValueError("mode must be 'BM' or 'BMstar'")
-    for name, (lo, hi) in (("A0", A0), ("A1", A1)):
-        if not -math.inf < lo < hi < math.inf:
-            raise ValueError(f"{name} {(lo, hi)!r} is not a finite interval lo < hi")
-    a0, b0 = A0
-    a1, b1 = A1
+    a0, b0 = finite_interval(A0, "A0")
+    a1, b1 = finite_interval(A1, "A1")
     at = ((1.0 - t) * a0 + t * a1, (1.0 - t) * b0 + t * b1)
     m0 = _interval_measure(space, A0)
     m1 = _interval_measure(space, A1)

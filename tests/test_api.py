@@ -1,14 +1,19 @@
-"""The public surface: the one range of N every checker takes, the one result
-type every checker returns, and the README tour, which must run as written."""
+"""The public surface: the one range of N every checker takes, the one rule for
+every interval, the one result type every checker returns, and the README
+tour, which must run as written."""
 
+import configparser
 import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import negdimcd as nd
+from negdimcd import cli
 from negdimcd.comparison import negative_n
+from negdimcd.quadrature import integrate
 
 from conftest import quadratic
 
@@ -65,6 +70,45 @@ class TestRangeOfN:
         assert negative_n(-2.5) == -2.5
         with pytest.raises(ValueError, match=r"N must be negative and finite, got -inf$"):
             negative_n(-math.inf)
+
+
+def _window(interval):
+    cfg = configparser.ConfigParser()
+    cfg.read_dict({"function": {"expr": "x**2", "domain": "%r %r" % interval}})
+    return cli._function_from(cfg, "function", 1.0, -2.0)
+
+
+# Every entry point that takes an interval, with the name its error gives it.
+INTERVAL_TAKERS = {
+    "WeightedLine": ("line interval", lambda iv: nd.WeightedLine(iv, F)),
+    "Density1D": ("support", lambda iv: nd.Density1D(iv, np.ones_like, quad_nodes=8,
+                                                     normalize=True)),
+    "uniform_density": ("support", lambda iv: nd.uniform_density(*iv, quad_nodes=8)),
+    "brunn_minkowski A0": ("A0", lambda iv: nd.brunn_minkowski(LINE, iv, (1.0, 2.0), 0.5,
+                                                               1.0, -2.0)),
+    "brunn_minkowski A1": ("A1", lambda iv: nd.brunn_minkowski(LINE, (1.0, 2.0), iv, 0.5,
+                                                               1.0, -2.0)),
+    "cli domain": ("[function] domain", _window),
+    "ConvexityParams": ("domain", lambda iv: nd.ConvexityParams(1.0, -2.0, iv)),
+    "interior_grid": ("domain", lambda iv: nd.interior_grid(iv, 5)),
+    "integrate": ("integration interval", lambda iv: integrate(np.cos, *iv)),
+}
+
+
+class TestFiniteInterval:
+    @pytest.mark.parametrize("interval", [(2.0, 1.0), (1.0, 1.0), (0.0, math.inf),
+                                          (-math.inf, 0.0), (math.nan, 1.0)])
+    @pytest.mark.parametrize("name", sorted(INTERVAL_TAKERS))
+    def test_every_interval_taker_rejects_what_is_not_a_finite_interval(self, name,
+                                                                          interval):
+        label, take = INTERVAL_TAKERS[name]
+        message = f"{label} {interval!r} is not a finite interval lo < hi"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            take(interval)
+
+    @pytest.mark.parametrize("name", sorted(INTERVAL_TAKERS))
+    def test_every_interval_taker_accepts_a_finite_interval(self, name):
+        INTERVAL_TAKERS[name][1]((0.5, 1.5))
 
 
 # the entries of CHECKERS that compute a quantity rather than check an inequality;

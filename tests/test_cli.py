@@ -319,13 +319,13 @@ class TestFlowDomain:
         cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG.replace("x0 = 1", "x0 = 4"))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "error: [params] x0 4.0 outside the [potential] domain (0.5, 3.0)\n")
+            "error: x0 must be finite and in the domain (0.5, 3.0), got 4.0\n")
 
     def test_nan_start_is_a_config_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "f.cfg", LOG_FLOW_CFG.replace("x0 = 1", "x0 = nan"))
         assert main(["run", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == (
-            "error: [params] x0 nan outside the [potential] domain (0.5, 3.0)\n")
+            "error: x0 must be finite and in the domain (0.5, 3.0), got nan\n")
         assert not (tmp_path / "o").exists()
 
 
@@ -804,7 +804,7 @@ checks = entropic
          "[mu1] need a finite mean and a finite sd > 0, got mean=nan, sd=1.0"),
         ("transport-gaussian", ("kind = gaussian\nmean = 1.0\nsd = 1.0",
                                 "kind = uniform\ninterval = 2 1"),
-         "[mu0] need a < b, got a=2.0, b=1.0"),
+         "[mu0] support (2.0, 1.0) is not a finite interval lo < hi"),
         # an infinite end read "narrower than its 2048 intervals"
         ("transport-gaussian", ("kind = gaussian\nmean = 0.0\nsd = 1.0",
                                 "kind = uniform\ninterval = 1 inf"),

@@ -110,6 +110,13 @@ class TestSigmaTauConventions:
         assert tau(K, N, 0.5, cut + 1e-9) == math.inf
         assert math.isfinite(tau(K, N, 0.5, cut - 1e-3))
 
+    def test_nan_t_rejected(self):
+        # NaN fails every comparison: the t rule asks 0 <= t <= 1 of each t
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            sigma(0.5, math.nan, 1.0)
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            tau(0.5, -2.0, [0.5, math.nan], 1.0)
+
     def test_tau_rejects_positive_n(self):
         with pytest.raises(ValueError):
             tau(1.0, 2.0, 0.5, 1.0)

@@ -314,6 +314,12 @@ class TestLichnerowicz:
         assert res.bound == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert res.passed
 
+    def test_nonconstant_weight_notes_radial_spectrum_only(self):
+        res = lichnerowicz(sphere(compile_expr("cos(theta)", var="theta")), -2.0)
+        assert res.status == "checked"
+        assert res.note == "radial spectrum only; not claimed to be the full gap"
+        assert res.lambda1 == pytest.approx(2.1997113730850346, rel=1e-9)
+
     def test_other_dimension_bound(self):
         res = lichnerowicz(sphere(), -10.0, mesh_size=1000)
         assert res.bound == pytest.approx(10.0 / 11.0, abs=1e-9)
@@ -457,3 +463,12 @@ class TestCertificateCalculus:
                                       np.linspace(-2.0, 2.0, 7),
                                       np.linspace(-2.0, 2.0, 7))
         assert rep.passed
+
+    def test_product_direction_rejects_a_weighted_one_dimensional_factor(self):
+        # N2 = 1 is the intrinsic dimension of the line: only a constant weight is allowed
+        x = sympy.symbols("x")
+        with pytest.raises(ValueError, match="effective dimension equals intrinsic "
+                                             "dimension with a nonconstant weight"):
+            product_direction_check(from_sympy(x**2 / 2, x), from_sympy(x**2 / 2, x),
+                                    -4.0, 1.0, np.linspace(-2.0, 2.0, 5),
+                                    np.linspace(-2.0, 2.0, 5))

@@ -634,6 +634,14 @@ class TestExpansionBound:
         with pytest.raises(ValueError, match=r"from t=0.5, x=0.0156.*stability limit"):
             expansion_bound(compile_expr("log(x)"), 1.0, 2.0, 0.0, -2.0, 2.0, 0.2, 0.6, 1e-2)
 
+    @pytest.mark.parametrize("x, y, name", [(math.nan, 1.0, "x"), (0.5, math.nan, "y")])
+    def test_nan_start_names_its_parameter(self, x, y, name):
+        # x and y are each integrate_flow's x0: the error names the one passed
+        message = f"{name} must be finite and in the domain (-inf, inf), got nan"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            expansion_bound(compile_expr("log(cosh(x))"), x, y, 1.0, -2.0, 1.0,
+                            0.1, 0.5, 1e-2)
+
     def test_overflowing_bound_is_trivial(self):
         # Theta = -6.8e3: e^-Theta overflows, and the bound is +inf
         rep = expansion_bound(compile_expr("log(x)"), 1.0, 2.0, 0.0, -2.0, 100.0,

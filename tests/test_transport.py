@@ -482,6 +482,10 @@ class TestCheckCD:
             assert not rep.passed
             assert rep.worst_margin == pytest.approx(-0.08115203501584789, rel=1e-9)
 
+    def test_rejects_nan_t(self):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            check_cd(self.SPACE, self.MU0, self.MU1, 0.0, -2.0, [0.5, math.nan])
+
     def test_rejects_bad_n_prime(self):
         with pytest.raises(ValueError):
             check_cd(self.SPACE, self.MU0, self.MU1, 0.0, -2.0, [0.5],
@@ -678,6 +682,13 @@ class TestFunctionalInequalities:
         oracle = 1.0 + 2.0 * (math.exp(-0.5) - 1.0)
         assert rep.worst_margin == pytest.approx(oracle, abs=1e-6)
         assert rep.details["admissibility"] > 0
+
+    def test_log_sobolev_inadmissible_is_vacuous(self):
+        # W2 = 0.99 and I = 0.9999**2/1e-4: c_{K/N}(W) + s_{K/N}(W)/N * sqrt(I) < 0
+        rep = log_sobolev_check(self.GL, gaussian_density(0.0, 0.01), 1.0, -2.0)
+        assert rep.status == "vacuous"
+        assert rep.passed and rep.worst_margin == math.inf
+        assert re.fullmatch(r"inadmissible \(criterion -52\.38\d* <= 0\)", rep.note)
 
     def test_log_sobolev_at_reference(self):
         rep = log_sobolev_check(self.GL, reference_density(self.GL), 1.0, -2.0)
