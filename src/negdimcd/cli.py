@@ -28,8 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import convexity, geometry, gradflow, transport
-from .comparison import finite_interval, negative_n
+from .comparison import finite_interval, negative_n, unit_times
 from .expr import compile_expr
 from .quadrature import QuadratureError
 from .report import CheckReport
@@ -101,13 +100,19 @@ def _get(cfg, section: str, key: str, default=None, required: bool = False,
                           f"got {raw!r}") from exc
 
 
+def _checked(rule, value, key: str):
+    """value when rule(value) accepts it; rule's ValueError prefixed by key."""
+    try:
+        rule(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    return value
+
+
 def _unit_times(cfg, key: str, default, conv):
     """[params] key converted by conv (float or _floats), each time in [0, 1]."""
-    value = _get(cfg, "params", key, default, conv=conv)
-    if not all(0.0 <= t <= 1.0 for t in np.atleast_1d(value)):
-        raise ConfigError(f"[params] {key}: expected times in [0, 1], "
-                          f"got {cfg.get('params', key)!r}")
-    return value
+    return _checked(unit_times, _get(cfg, "params", key, default, conv=conv),
+                    f"[params] {key}")
 
 
 def _count(cfg, section: str, key: str, default: int, least: int = 1) -> int:
@@ -131,15 +136,9 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return cfg
 
 
-def _negative_n(value: float, key: str) -> float:
-    try:
-        return negative_n(value)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
-
-
 def _params_n(cfg) -> float:
-    return _negative_n(_get(cfg, "params", "N", required=True, conv=float), "[params] N")
+    return _checked(negative_n, _get(cfg, "params", "N", required=True, conv=float),
+                    "[params] N")
 
 
 def _tol(cli_value: float | None, cfg, section: str) -> dict:
@@ -173,6 +172,7 @@ def _function_from(cfg, section: str, K: float, N: float):
     if (kind is None) == (expr is None):
         raise ConfigError(f"[{section}] needs kind=a|b|c|d or expr=..., not both")
     if kind is not None:
+        from . import convexity
         f, dom = convexity.example_function(kind, K, N)
         # without a domain, a default window inside the stated open domain
         window = window or {
@@ -192,6 +192,7 @@ def _function_from(cfg, section: str, K: float, N: float):
 
 @_naming_section
 def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere:
+    from . import geometry
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
         curv = _get(cfg, section, "curv", 1.0, conv=float)
@@ -217,6 +218,7 @@ def _space_from(cfg, section: str) -> geometry.WeightedLine | geometry.RotSphere
 @_naming_section
 def _density_from(cfg, section: str, space: geometry.WeightedLine) -> transport.Density1D:
     """A measure from a [mu0]/[mu1] section, at most MASS_TOL of it off the space."""
+    from . import transport
     kind = _get(cfg, section, "kind", required=True)
     if kind == "gaussian":
         mean = _get(cfg, section, "mean", 0.0, conv=float)
@@ -258,6 +260,7 @@ def _admissible_pairs(rng, window, limit, count):
 
 
 def run_convexity(cfg, seed: int, tol: dict) -> list[list[str]]:
+    from . import convexity
     K = _get(cfg, "params", "K", required=True, conv=float)
     N = _params_n(cfg)
     f, window = _function_from(cfg, "function", K, N)
@@ -277,6 +280,7 @@ def run_convexity(cfg, seed: int, tol: dict) -> list[list[str]]:
 
 
 def run_flow(cfg, seed: int, tol: dict) -> list[list[str]]:
+    from . import gradflow
     del seed  # flow checks are deterministic
     K = _get(cfg, "params", "K", required=True, conv=float)
     N = _params_n(cfg)
@@ -313,6 +317,7 @@ def run_flow(cfg, seed: int, tol: dict) -> list[list[str]]:
 
 
 def run_geometry(cfg, seed: int, tol: dict) -> list[list[str]]:
+    from . import convexity, geometry
     del seed
     N = _params_n(cfg)
     space = _space_from(cfg, "space")
@@ -334,6 +339,7 @@ def run_geometry(cfg, seed: int, tol: dict) -> list[list[str]]:
 
 
 def run_transport(cfg, seed: int, tol: dict) -> list[list[str]]:
+    from . import geometry, transport
     del seed
     K = _get(cfg, "params", "K", required=True, conv=float)
     N = _params_n(cfg)
@@ -471,8 +477,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import convexity
     cfg = _load_config(args.config)
-    n_values = [_negative_n(v, "[certify] N")
+    n_values = [_checked(negative_n, v, "[certify] N")
                 for v in _get(cfg, "certify", "N", required=True, conv=_floats)]
     grid_n = _count(cfg, "certify", "grid", 400)
     tol = _tol(args.tol, cfg, "certify")

@@ -5,9 +5,10 @@ c(0)=1, c'(0)=0.  The ratios ``sigma`` and ``tau`` are the distortion
 coefficients used throughout the convexity and transport checkers; both obey
 extended-real conventions (``t=0``, ``theta=0``, out-of-domain +inf) so that
 callers never hit 0/0 or domain errors.  All functions accept floats or numpy
-arrays and are pure.  ``negative_n``, ``below_segment_limit`` and ``finite_interval``
-state, for every module, the range of N, the segment lengths the K < 0
-inequalities control and the intervals of spaces, measures, windows and integrals.
+arrays and are pure.  ``negative_n``, ``unit_times``, ``below_segment_limit`` and
+``finite_interval`` state, for every module, the range of N, the times of a
+geodesic, the segment lengths the K < 0 inequalities control and the intervals
+of spaces, measures, windows and integrals.
 """
 
 from __future__ import annotations
@@ -86,10 +87,8 @@ def c(kappa, theta):
 
 def _t_and_theta(t, theta):
     """t in [0, 1] and theta >= 0 as float arrays."""
-    t = np.asarray(t, dtype=float)
+    t = unit_times(t)
     theta = np.asarray(theta, dtype=float)
-    if not ((t >= 0) & (t <= 1)).all():
-        raise ValueError("t must lie in [0, 1]")
     if (theta < 0).any():
         raise ValueError("theta must be nonnegative")
     return t, theta
@@ -156,6 +155,17 @@ def negative_n(N):
     if not -math.inf < N < 0:
         raise ValueError(f"N must be negative and finite, got {N!r}")
     return N
+
+
+def unit_times(t):
+    """t as a float array when each t lies in [0, 1], the times of a geodesic
+    along which every checker interpolates; else ValueError naming the first
+    that does not (NaN fails both comparisons)."""
+    t = np.asarray(t, dtype=float)
+    inside = (t >= 0) & (t <= 1)
+    if not inside.all():
+        raise ValueError(f"t must lie in [0, 1], got {float(t[~inside][0])!r}")
+    return t
 
 
 def finite_interval(interval, name):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .comparison import c as comp_c
 from .comparison import s as comp_s
-from .comparison import below_segment_limit, finite_interval, negative_n, sigma, tau
+from .comparison import below_segment_limit, finite_interval, negative_n, sigma, tau, unit_times
 from .convexity import interior_grid
 from .geometry import WeightedLine
 from .quadrature import gl_nodes, integrate
@@ -234,8 +234,7 @@ def w2(mu0: Density1D, mu1: Density1D, n_nodes: int = 10000) -> float:
     """Quadratic Wasserstein distance via quantile quadrature."""
     # composite rule: a cached low-order panel rule scales to large n,
     # unlike a single Gauss rule of order n
-    order = min(n_nodes, 50)
-    u, wts = gl_nodes(0.0, 1.0, order, panels=max(1, n_nodes // order))
+    u, wts = gl_nodes(0.0, 1.0, min(n_nodes, 50), panels=max(1, n_nodes // 50))
     dq = mu0.quantile(u)
     dq -= mu1.quantile(u)
     wts *= dq
@@ -272,8 +271,7 @@ class GeodesicPath:
 def interpolate(mu0: Density1D, mu1: Density1D, t: float) -> Density1D:
     """Density of the Wasserstein geodesic at time t (Lebesgue density),
     rebuilt as a standalone Density1D."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
+    unit_times(t)
     path = GeodesicPath(mu0, mu1, mu0._xs)
     ys = np.multiply(t, path.Tx)
     jac = np.multiply(1.0 - t, path.x)

@@ -1,5 +1,6 @@
 """Command-line front end: suites, certify, merge, determinism."""
 
+import ast
 import configparser
 import csv
 import importlib.util
@@ -861,12 +862,16 @@ class TestTimeKeys:
         ("flow-quadratic", ("horizon = 2.0", "horizon = 2.0005"),
          "[params] horizon/2: time 1.00025 is not on the curve grid of step 0.001"),
         ("convexity-log-family", ("pairs = 50", "pairs = 50\nt_grid = 0.5 1.5"),
-         "[params] t_grid: expected times in [0, 1], got '0.5 1.5'"),
+         "[params] t_grid: t must lie in [0, 1], got 1.5"),
         ("transport-model-weight", ("checks = cd cdstar jacobian bm",
                                     "checks = cd\nt_grid = 0.5 2"),
-         "[params] t_grid: expected times in [0, 1], got '0.5 2'"),
+         "[params] t_grid: t must lie in [0, 1], got 2.0"),
+        # checked when the config is read, though hwi takes no t_grid
+        ("transport-gaussian", ("checks = entropic hwi talagrand logsobolev",
+                                "checks = hwi\nt_grid = 0.5 nan"),
+         "[params] t_grid: t must lie in [0, 1], got nan"),
         ("transport-model-weight", ("t = 0.5", "t = 1.5"),
-         "[params] t: expected times in [0, 1], got '1.5'"),
+         "[params] t: t must lie in [0, 1], got 1.5"),
         # the energy identity runs from 10*step to horizon/2: these ended with
         # "time 5.0 is outside the curve's span [0, 2.0]" and "need 0 < t_from
         # < t_to inside the curve horizon"
@@ -878,7 +883,7 @@ class TestTimeKeys:
          "[params] step: the energy identity runs from 10*step = 1.0 to horizon/2 = 1.0; "
          "it needs 10*step < horizon/2"),
     ], ids=["off-grid-t0", "t1-beyond-horizon", "t0-after-t1", "off-grid-horizon",
-            "convexity-t_grid", "transport-t_grid", "bm-t", "edi-start-beyond-end",
+            "convexity-t_grid", "transport-t_grid", "hwi-t_grid", "bm-t", "edi-start-beyond-end",
             "edi-start-at-end"])
     def test_bad_time_names_its_key(self, tmp_path, capsys, name, edit, message):
         text = shipped(name)
@@ -1061,6 +1066,76 @@ def test_cold_start_loads_no_scipy(tmp_path):
                           capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == repr([[]] * (len(names) + 1))
+
+
+MODULES_PROBE = """
+import contextlib, io, sys
+from negdimcd import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(sys.argv[1:])
+print(sorted(m for m in sys.modules if m.startswith(("negdimcd.", "numpy.polynomial"))))
+"""
+
+# the suite modules a shipped config must not load: the CLI imports each
+# suite's modules where it runs the suite
+NOT_LOADED = {
+    "flow-quadratic": {"transport", "geometry", "convexity"},
+    "convexity-log-family": {"transport", "geometry", "gradflow"},
+    "geometry-sphere": {"transport", "gradflow"},
+    "certify-quadratic": {"transport", "gradflow"},
+}
+
+
+@pytest.mark.parametrize("config", sorted(p.stem for p in (ROOT / "configs").glob("*.cfg")))
+def test_cold_run_loads_only_what_its_config_checks(config, tmp_path):
+    command = "certify" if config.startswith("certify-") else "run"
+    proc = subprocess.run([sys.executable, "-c", MODULES_PROBE, command,
+                           str(ROOT / "configs" / f"{config}.cfg"), "--out-dir", str(tmp_path)],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+    assert "negdimcd.cli" in loaded
+    assert not {m for m in loaded if m.startswith("numpy.polynomial")}
+    assert not loaded & {f"negdimcd.{m}" for m in NOT_LOADED.get(config, ())}
+
+
+PUBLIC_NAMES = [
+    "CheckReport", "ConvexityParams", "CurvatureCertificate", "Density1D", "EigenResult",
+    "GeodesicPath", "GradientCurve", "RotSphere", "ScalarFunction1D", "WeightedLine",
+    "bochner_margin", "brunn_minkowski", "c", "check_cd", "check_derivative",
+    "check_entropic_cd", "check_geodesic", "check_jacobian_convexity", "check_pointwise",
+    "claim_convexity_margin", "comparison", "convexity", "example_function", "exp_transform",
+    "expansion_bound", "fisher_information", "functions", "g_combiner", "gaussian_density",
+    "gaussian_line", "geodesic_margin", "geometry", "gradflow", "hwi_check", "integrate_flow",
+    "interior_grid", "interpolate", "laplacian_m", "lebesgue_line", "lichnerowicz",
+    "local_slope", "log_sobolev_check", "metric_speed", "min_ricci_n", "power_weight_line",
+    "product_certificate", "product_direction_check", "quadrature", "reference_density",
+    "regularizing_bounds", "relative_entropy", "renyi_entropy", "report", "ricci_n", "s",
+    "sigma", "sum_rule", "talagrand_check", "tau", "transport", "uniform_density",
+    "verify_edi", "verify_evi", "verify_evi_classical", "verify_evi_integrated", "w2",
+    "weighted_sum_certificate",
+]
+
+
+def test_package_names_load_on_first_use():
+    # a fresh import loads no submodule, and lists the same public names as
+    # when it imported every one of them
+    probe = ("import sys, negdimcd\n"
+             "print(sorted(m for m in sys.modules if m.startswith('negdimcd.')))\n"
+             "print(sorted(n for n in dir(negdimcd) if not n.startswith('_')))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules, names = proc.stdout.splitlines()
+    assert modules == "[]"
+    assert names == repr(PUBLIC_NAMES)
+    star = {}
+    exec("from negdimcd import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == PUBLIC_NAMES
+    import negdimcd
+    assert negdimcd.w2 is transport.w2 and negdimcd.transport is transport
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        negdimcd.no_such_name
 
 
 @pytest.fixture(scope="module")
